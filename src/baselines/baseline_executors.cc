@@ -1,8 +1,6 @@
 #include "baselines/baseline_executors.h"
 
-#include <algorithm>
 #include <memory>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,45 +14,6 @@
 namespace cirank {
 
 namespace {
-
-Status ValidateEnv(const ExecutorEnv& env) {
-  if (env.scorer == nullptr || env.query == nullptr) {
-    return Status::InvalidArgument("executor env missing scorer or query");
-  }
-  if (env.query->empty()) return Status::InvalidArgument("empty query");
-  if (env.query->size() > Query::kMaxKeywords) {
-    return Status::InvalidArgument("at most 31 keywords are supported");
-  }
-  if (env.options.k <= 0) return Status::InvalidArgument("k must be positive");
-  return Status::OK();
-}
-
-// Sorted top-k accumulator with canonical-key dedup, shared by the pool
-// scorers (unordered offers, so TopKAnswers' monotone-threshold contract
-// does not apply).
-class RankedPool {
- public:
-  explicit RankedPool(size_t k) : k_(k) {}
-
-  void Offer(const Jtt& tree, double score) {
-    if (!seen_.insert(tree.CanonicalKey()).second) return;
-    answers_.push_back(RankedAnswer{tree, score});
-    std::sort(answers_.begin(), answers_.end(),
-              [](const RankedAnswer& a, const RankedAnswer& b) {
-                if (a.score != b.score) return a.score > b.score;
-                return a.tree.CanonicalKey() < b.tree.CanonicalKey();
-              });
-    if (answers_.size() > k_) answers_.resize(k_);
-  }
-
-  size_t distinct() const { return seen_.size(); }
-  std::vector<RankedAnswer> Take() { return std::move(answers_); }
-
- private:
-  size_t k_;
-  std::vector<RankedAnswer> answers_;
-  std::set<std::string> seen_;
-};
 
 // BANKS and bidirectional share their executor shape: the baseline's own
 // *enumeration* runs inside Expand with the context's guard, scoring goes
@@ -125,84 +84,11 @@ class BanksFamilyExecutor final : public SearchExecutor {
   std::vector<RankedAnswer> answers_;
 };
 
-// SPARK and DISCOVER2 are pure scoring functions, so their executors rank
-// the neutral candidate pool (naive enumeration — the same pool the
-// effectiveness experiments use, so no system's own search biases it)
-// through the identically named registry ranker.
-class PoolScoringExecutor final : public SearchExecutor {
- public:
-  PoolScoringExecutor(const ExecutorEnv& env, bool spark)
-      : scorer_(*env.scorer),
-        query_(*env.query),
-        options_(env.options),
-        spark_(spark),
-        answers_(static_cast<size_t>(env.options.k)) {}
-
-  std::string_view name() const override {
-    return spark_ ? "spark" : "discover2";
-  }
-
-  Status Prepare(ExecutionContext& ctx) override {
-    // Pool scoring never consults UpperBound, so the ranker is built
-    // without per-query bound state (null query in the env).
-    CIRANK_ASSIGN_OR_RETURN(
-        ranker_, RankerRegistry::Global().Create(
-                     std::string(name()),
-                     RankerEnv{&scorer_, nullptr, options_}));
-    EnumerateOptions enum_options;
-    enum_options.max_diameter = options_.max_diameter;
-    CIRANK_ASSIGN_OR_RETURN(
-        pool_, EnumerateAnswers(scorer_.model().graph(), scorer_.index(),
-                                query_, enum_options));
-    ctx.stages().candidates_generated = static_cast<int64_t>(pool_.size());
-    (void)ctx.ChargeCandidates(static_cast<int64_t>(pool_.size()));
-    return Status::OK();
-  }
-
-  Status Expand(ExecutionContext& ctx) override {
-    for (const Jtt& tree : pool_) {
-      if (ctx.ShouldStop()) return ctx.stop_status();
-      answers_.Offer(tree, ranker_->ScoreAnswer(tree, query_));
-      ++scored_;
-    }
-    return Status::OK();
-  }
-
-  Result<std::vector<RankedAnswer>> Emit(ExecutionContext& ctx) override {
-    (void)ctx;
-    return answers_.Take();
-  }
-
-  void FillStats(SearchStats* stats) const override {
-    stats->ranker = std::string(ranker_->name());
-    stats->generated = scored_;
-    stats->answers_found = static_cast<int64_t>(answers_.distinct());
-  }
-
- private:
-  const TreeScorer& scorer_;
-  const Query& query_;
-  const SearchOptions options_;
-  const bool spark_;
-  std::unique_ptr<Ranker> ranker_;
-  std::vector<Jtt> pool_;
-  RankedPool answers_;
-  int64_t scored_ = 0;
-};
-
 Result<std::unique_ptr<SearchExecutor>> MakeBanksFamily(const ExecutorEnv& env,
                                                         bool bidirectional) {
-  CIRANK_RETURN_IF_ERROR(ValidateEnv(env));
+  CIRANK_RETURN_IF_ERROR(ValidateExecutorEnv(env));
   std::unique_ptr<SearchExecutor> executor =
       std::make_unique<BanksFamilyExecutor>(env, bidirectional);
-  return executor;
-}
-
-Result<std::unique_ptr<SearchExecutor>> MakePoolScoring(const ExecutorEnv& env,
-                                                        bool spark) {
-  CIRANK_RETURN_IF_ERROR(ValidateEnv(env));
-  std::unique_ptr<SearchExecutor> executor =
-      std::make_unique<PoolScoringExecutor>(env, spark);
   return executor;
 }
 
@@ -276,16 +162,24 @@ Status RegisterBaselineExecutors() {
   static Status result = Status::OK();
   std::call_once(once, [] {
     ExecutorRegistry& registry = ExecutorRegistry::Global();
-    auto reg = [&](const char* name, bool flag,
-                   Result<std::unique_ptr<SearchExecutor>> (*make)(
-                       const ExecutorEnv&, bool)) -> Status {
-      return registry.Register(
-          name, [flag, make](const ExecutorEnv& env) { return make(env, flag); });
+    auto banks = [&](const char* name, bool bidirectional) -> Status {
+      return registry.Register(name, [bidirectional](const ExecutorEnv& env) {
+        return MakeBanksFamily(env, bidirectional);
+      });
     };
-    Status s = reg("banks", false, MakeBanksFamily);
-    if (s.ok()) s = reg("bidirectional", true, MakeBanksFamily);
-    if (s.ok()) s = reg("spark", true, MakePoolScoring);
-    if (s.ok()) s = reg("discover2", false, MakePoolScoring);
+    // SPARK and DISCOVER2 are pure scoring functions, so their executors
+    // are the naive executor ranking the neutral candidate pool (the same
+    // pool the effectiveness experiments use, so no system's own search
+    // biases it) through the identically named registry ranker.
+    auto pool_scoring = [&](const std::string& name) -> Status {
+      return registry.Register(name, [name](const ExecutorEnv& env) {
+        return MakePinnedRankerExecutor(env, name);
+      });
+    };
+    Status s = banks("banks", false);
+    if (s.ok()) s = banks("bidirectional", true);
+    if (s.ok()) s = pool_scoring("spark");
+    if (s.ok()) s = pool_scoring("discover2");
     if (s.ok()) s = RegisterBaselineRankers(RankerRegistry::Global());
     result = std::move(s);
   });

@@ -290,14 +290,7 @@ class BnbExecutor final : public SearchExecutor {
 
 Result<std::unique_ptr<SearchExecutor>> MakeBnbExecutor(
     const ExecutorEnv& env) {
-  if (env.scorer == nullptr || env.query == nullptr) {
-    return Status::InvalidArgument("executor env missing scorer or query");
-  }
-  if (env.query->empty()) return Status::InvalidArgument("empty query");
-  if (env.query->size() > Query::kMaxKeywords) {
-    return Status::InvalidArgument("at most 31 keywords are supported");
-  }
-  if (env.options.k <= 0) return Status::InvalidArgument("k must be positive");
+  CIRANK_RETURN_IF_ERROR(ValidateExecutorEnv(env));
   std::unique_ptr<SearchExecutor> executor = std::make_unique<BnbExecutor>(env);
   return executor;
 }

@@ -1,14 +1,12 @@
 #include "core/engine.h"
 
 #include <atomic>
-#include <sstream>
 #include <utility>
 
 #include "core/parallel_search.h"
 #include "util/annotations.h"
 #include "util/check.h"
 #include "obs/log.h"
-#include "util/lru_cache.h"
 #include "util/mutex.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -17,29 +15,12 @@ namespace cirank {
 
 namespace {
 
-// Cache values are shared_ptr so a hit can be returned while a concurrent
-// Clear() (feedback invalidation) drops the shard's copy.
-using CachedAnswers = std::shared_ptr<const std::vector<RankedAnswer>>;
-
-// The cache key must pin down everything the result depends on besides the
-// model itself: normalized keywords plus the full search configuration.
-// Model changes are handled by invalidation, not by the key.
-std::string CacheKey(const Query& query, const SearchOptions& options) {
-  std::ostringstream key;
-  for (const std::string& k : query.keywords) key << k << ' ';
-  key << "|k=" << options.k << "|d=" << options.max_diameter
-      << "|x=" << options.max_expansions << "|s=" << options.strict_merge_rule
-      << "|b=" << static_cast<const void*>(options.bounds)
-      << "|e=" << options.executor << "|t=" << options.num_threads
-      << "|r=" << options.ranker << "|o=" << options.order_by
-      << "|w=" << options.composite_rwmp_weight << ','
-      << options.composite_text_weight
-      // Defensive: shard-scoped sub-searches go through the explicit-options
-      // Search (never cached), but if one ever reached here its scope mask
-      // must not alias an unsharded entry.
-      << "|h=" << static_cast<const void*>(options.shard_hooks);
-  return std::move(key).str();
-}
+constexpr ResultCache::MetricNames kQueryCacheMetrics = {
+    "cirank_engine_cache_hits_total",
+    "cirank_engine_cache_misses_total",
+    "cirank_engine_feedback_invalidations_total",
+    "cirank_cache_entries",
+    /*lru_shards=*/"cirank_cache_shard"};
 
 }  // namespace
 
@@ -49,7 +30,7 @@ std::string CacheKey(const Query& query, const SearchOptions& options) {
 struct CiRankEngine::Serving {
   Serving(size_t num_nodes, const QueryCacheOptions& cache_options,
           obs::MetricsRegistry* metrics)
-      : cache(cache_options.capacity, cache_options.shards),
+      : cache(cache_options, metrics, kQueryCacheMetrics),
         feedback(num_nodes) {
     obs.Bind(metrics);
   }
@@ -61,12 +42,8 @@ struct CiRankEngine::Serving {
   struct Obs {
     obs::Counter* queries = nullptr;
     obs::Counter* errors = nullptr;
-    obs::Counter* cache_hits = nullptr;
-    obs::Counter* cache_misses = nullptr;
     obs::Counter* truncated = nullptr;
-    obs::Counter* invalidations = nullptr;
     obs::Histogram* query_seconds = nullptr;
-    obs::Gauge* cache_entries = nullptr;
     obs::Gauge* queue_depth = nullptr;
     obs::Histogram* task_wait = nullptr;
 
@@ -76,22 +53,12 @@ struct CiRankEngine::Serving {
                                "Top-level queries served (cache hits + fresh)");
       errors = &m->GetCounter("cirank_engine_query_errors_total",
                               "Queries that returned a non-OK status");
-      cache_hits = &m->GetCounter("cirank_engine_cache_hits_total",
-                                  "Query-result cache hits");
-      cache_misses = &m->GetCounter("cirank_engine_cache_misses_total",
-                                    "Query-result cache misses");
       truncated = &m->GetCounter(
           "cirank_engine_truncated_total",
           "Queries whose result was cut short by a deadline/budget guard");
-      invalidations = &m->GetCounter(
-          "cirank_engine_feedback_invalidations_total",
-          "Query-cache invalidations triggered by feedback/rebuild");
       query_seconds = &m->GetHistogram(
           "cirank_engine_query_seconds",
           "End-to-end latency of fresh (uncached) queries, seconds");
-      cache_entries = &m->GetGauge("cirank_cache_entries",
-                                   "Entries currently resident in the "
-                                   "query-result cache");
       queue_depth = &m->GetGauge(
           "cirank_threadpool_queue_depth",
           "Peak task-queue depth observed by the last SearchBatch pool");
@@ -101,8 +68,7 @@ struct CiRankEngine::Serving {
     }
   };
 
-  // Internally synchronized (per-shard capabilities; see lru_cache.h).
-  ShardedLruCache<std::string, CachedAnswers> cache;
+  ResultCache cache;
 
   // feedback_mu is the engine level — the top — of the declared lock
   // hierarchy (engine → cache-shard → pool): cache-shard and pool locks
@@ -113,31 +79,28 @@ struct CiRankEngine::Serving {
 
   Obs obs;
 
-  // Incremented around every model read during a search; RebuildFromFeedback
-  // refuses to run while nonzero. This is a guard rail against API misuse,
-  // not a lock: the caller owns quiescence.
-  std::atomic<int64_t> active_searches{0};
-
-  // Publishes the cache's per-shard counters as {shard="i"}-labeled gauges.
-  // Called after batches and from cache_stats(): per-shard values are
-  // point-in-time exports of the cache's own atomics, so a gauge (Set) is
-  // the right instrument even for the monotonic ones.
-  void SyncCacheMetrics(obs::MetricsRegistry* m) {
-    if (m == nullptr) return;
-    if (obs.cache_entries != nullptr) {
-      obs.cache_entries->Set(static_cast<double>(cache.size()));
-    }
-    const auto shards = cache.PerShardStats();
-    for (size_t i = 0; i < shards.size(); ++i) {
-      const std::string label = "{shard=\"" + std::to_string(i) + "\"}";
-      m->GetGauge("cirank_cache_shard_hits" + label,
-                  "Cache hits, by shard (cumulative, exported as a gauge)")
-          .Set(static_cast<double>(shards[i].hits));
-      m->GetGauge("cirank_cache_shard_evictions" + label,
-                  "Cache evictions, by shard (cumulative, exported as a gauge)")
-          .Set(static_cast<double>(shards[i].evictions));
+  // Every search reads the model between EnterSearch() and ExitSearch();
+  // RebuildFromFeedback swaps it only while no search is in between. The
+  // two sides form a Dekker handshake over `active_searches` and
+  // `swapping`: each writes its own word before reading the other's, all
+  // seq_cst, so a search either sees the swap coming and waits it out on
+  // `swap_mu`, or is seen by the rebuild, which then fails. This is a guard
+  // rail against API misuse, not a lock: the caller owns quiescence.
+  void EnterSearch() {
+    for (;;) {
+      active_searches.fetch_add(1, std::memory_order_seq_cst);
+      if (!swapping.load(std::memory_order_seq_cst)) return;
+      active_searches.fetch_sub(1, std::memory_order_seq_cst);
+      MutexLock wait(swap_mu);  // held for the whole swap
     }
   }
+  void ExitSearch() {
+    active_searches.fetch_sub(1, std::memory_order_seq_cst);
+  }
+
+  std::atomic<int64_t> active_searches{0};
+  std::atomic<bool> swapping{false};
+  Mutex swap_mu;  // leaf: nothing is acquired under it
 };
 
 CiRankEngine::CiRankEngine() = default;
@@ -199,7 +162,8 @@ SearchOptions CiRankEngine::EffectiveOptions(
 
 Result<std::vector<RankedAnswer>> CiRankEngine::Search(
     const Query& query, SearchStats* stats) const {
-  return CachedSearch(query, options_.search, /*use_cache=*/true, stats);
+  return CachedSearch(query, options_.search, ResultCache::Path::kDirect,
+                      stats);
 }
 
 Result<std::vector<RankedAnswer>> CiRankEngine::Search(
@@ -212,7 +176,7 @@ Result<std::vector<RankedAnswer>> CiRankEngine::Search(
 Result<std::vector<RankedAnswer>> CiRankEngine::ExecuteUncached(
     const Query& query, const SearchOptions& options, SearchStats* stats,
     uint64_t trace_id) const {
-  serving_->active_searches.fetch_add(1, std::memory_order_acq_rel);
+  serving_->EnterSearch();
   // Dispatch through the executor registry: options.executor picks the
   // SearchExecutor ("bnb" by default), and the execution pipeline applies
   // the deadline/budget guard and stage accounting uniformly.
@@ -225,7 +189,7 @@ Result<std::vector<RankedAnswer>> CiRankEngine::ExecuteUncached(
   Timer timer;
   auto result = ExecuteSearch(env, st);
   const double elapsed = timer.ElapsedSeconds();
-  serving_->active_searches.fetch_sub(1, std::memory_order_acq_rel);
+  serving_->ExitSearch();
 
   const Serving::Obs& obs = serving_->obs;
   if (obs.query_seconds != nullptr) obs.query_seconds->Observe(elapsed);
@@ -240,63 +204,20 @@ Result<std::vector<RankedAnswer>> CiRankEngine::ExecuteUncached(
 Result<std::vector<RankedAnswer>> CiRankEngine::Search(
     const Query& query, const SearchOverrides& overrides,
     SearchStats* stats) const {
-  return CachedSearch(query, EffectiveOptions(overrides), /*use_cache=*/true,
-                      stats);
-}
-
-Result<std::vector<RankedAnswer>> CiRankEngine::ServingSearch(
-    const Query& query, const SearchOverrides& overrides, SearchStats* stats,
-    const obs::RequestContext* request) const {
-  auto result = CachedSearch(query, EffectiveOptions(overrides),
-                             /*use_cache=*/true, stats,
-                             /*stats_from_cache_ok=*/true,
-                             request != nullptr ? request->trace_id : 0);
-  // Scrapes happen between queries, so keep the cache gauges current here
-  // rather than only on the batch path.
-  serving_->SyncCacheMetrics(metrics_);
-  return result;
+  return CachedSearch(query, EffectiveOptions(overrides),
+                      ResultCache::Path::kDirect, stats);
 }
 
 Result<std::vector<RankedAnswer>> CiRankEngine::CachedSearch(
-    const Query& query, const SearchOptions& options, bool use_cache,
-    SearchStats* stats, bool stats_from_cache_ok, uint64_t trace_id) const {
-  const Serving::Obs& obs = serving_->obs;
-  if (obs.queries != nullptr) obs.queries->Increment();
-  // Deadline- and budget-limited queries are never cached: what they return
-  // depends on how far the search got before the guard fired, so a memoized
-  // copy is neither reproducible nor necessarily the full answer.
-  const bool cacheable = use_cache && serving_->cache.enabled() &&
-                         options.deadline_ms <= 0.0 &&
-                         options.candidate_budget <= 0;
-  std::string key;
-  if (cacheable) {
-    key = CacheKey(query, options);
-    // A cached result carries no fresh counters, so by default a
-    // stats-requesting caller is served (and measured) fresh; batch callers
-    // opt into hits annotated with the from_cache marker instead.
-    if (stats == nullptr || stats_from_cache_ok) {
-      if (auto hit = serving_->cache.Get(key); hit.has_value()) {
-        if (obs.cache_hits != nullptr) obs.cache_hits->Increment();
-        if (stats != nullptr) {
-          *stats = SearchStats{};
-          stats->from_cache = true;
-          stats->executor = options.executor;
-          stats->ranker = options.ranker;
-        }
-        return **hit;
-      }
-      // Counted only when a lookup actually happened, so the registry's
-      // hit/miss counters track the cache's own counters exactly.
-      if (obs.cache_misses != nullptr) obs.cache_misses->Increment();
-    }
-  }
+    const Query& query, const SearchOptions& options, ResultCache::Path path,
+    SearchStats* stats) const {
+  if (serving_->obs.queries != nullptr) serving_->obs.queries->Increment();
+  ResultCache::Probe probe =
+      serving_->cache.Lookup(query, options, path, stats);
+  if (probe.hit != nullptr) return *probe.hit;
   CIRANK_ASSIGN_OR_RETURN(std::vector<RankedAnswer> answers,
-                          ExecuteUncached(query, options, stats, trace_id));
-  if (cacheable) {
-    serving_->cache.Put(
-        std::move(key),
-        std::make_shared<const std::vector<RankedAnswer>>(answers));
-  }
+                          ExecuteUncached(query, options, stats));
+  serving_->cache.Store(std::move(probe), answers);
   return answers;
 }
 
@@ -311,7 +232,7 @@ std::vector<Result<std::vector<RankedAnswer>>> CiRankEngine::SearchBatch(
   if (stats != nullptr) stats->assign(queries.size(), SearchStats{});
   if (queries.empty()) return results;
 
-  const uint64_t hits_before = serving_->cache.hits();
+  const uint64_t hits_before = serving_->cache.Stats().hits;
   Timer batch_timer;
   {
     ThreadPool pool(options.num_threads);
@@ -321,16 +242,17 @@ std::vector<Result<std::vector<RankedAnswer>>> CiRankEngine::SearchBatch(
           [task_wait](double seconds) { task_wait->Observe(seconds); });
     }
     pool.ParallelFor(queries.size(), [&](size_t i) {
-      results[i] = CachedSearch(queries[i], merged, options.use_cache,
-                                stats != nullptr ? &(*stats)[i] : nullptr,
-                                /*stats_from_cache_ok=*/true);
+      results[i] = CachedSearch(queries[i], merged,
+                                options.use_cache ? ResultCache::Path::kServing
+                                                  : ResultCache::Path::kBypass,
+                                stats != nullptr ? &(*stats)[i] : nullptr);
     });
     if (serving_->obs.queue_depth != nullptr) {
       serving_->obs.queue_depth->Set(
           static_cast<double>(pool.stats().peak_queue_depth));
     }
   }
-  serving_->SyncCacheMetrics(metrics_);
+  const uint64_t hits_after = serving_->cache.Stats().hits;
 
   if (metrics_ != nullptr) {
     size_t failed = 0;
@@ -338,7 +260,7 @@ std::vector<Result<std::vector<RankedAnswer>>> CiRankEngine::SearchBatch(
       if (!r.ok()) ++failed;
     }
     CIRANK_LOG(Info) << "SearchBatch: " << queries.size() << " queries, "
-                     << (serving_->cache.hits() - hits_before)
+                     << (hits_after - hits_before)
                      << " cache hits, " << failed << " failed, "
                      << batch_timer.ElapsedSeconds() << " s wall ("
                      << options.num_threads << " threads)";
@@ -357,10 +279,7 @@ Status CiRankEngine::RecordFeedback(const std::vector<NodeId>& matched_nodes,
   }
   // Clicks shift what the engine *should* return (once rebuilt), so memoized
   // results are no longer trustworthy snapshots.
-  serving_->cache.Clear();
-  if (serving_->obs.invalidations != nullptr) {
-    serving_->obs.invalidations->Increment();
-  }
+  serving_->cache.Invalidate();
   return Status::OK();
 }
 
@@ -369,10 +288,7 @@ Status CiRankEngine::RecordClick(NodeId v, double weight) {
     MutexLock lk(serving_->feedback_mu);
     CIRANK_RETURN_IF_ERROR(serving_->feedback.RecordClick(v, weight));
   }
-  serving_->cache.Clear();
-  if (serving_->obs.invalidations != nullptr) {
-    serving_->obs.invalidations->Increment();
-  }
+  serving_->cache.Invalidate();
   return Status::OK();
 }
 
@@ -407,24 +323,25 @@ Status CiRankEngine::RebuildFromFeedback(const FeedbackOptions& options) {
   CIRANK_ASSIGN_OR_RETURN(
       RwmpModel model,
       RwmpModel::Create(*graph_, std::move(pr.scores), options_.rwmp));
-  // Assign into the existing object: scorer_ holds a reference to *model_,
-  // which stays valid across the swap.
-  *model_ = std::move(model);
-  serving_->cache.Clear();
-  if (serving_->obs.invalidations != nullptr) {
-    serving_->obs.invalidations->Increment();
+  {
+    MutexLock lk(serving_->swap_mu);
+    serving_->swapping.store(true, std::memory_order_seq_cst);
+    if (serving_->active_searches.load(std::memory_order_seq_cst) != 0) {
+      serving_->swapping.store(false, std::memory_order_seq_cst);
+      return Status::FailedPrecondition(
+          "RebuildFromFeedback requires quiesced search traffic");
+    }
+    // Assign into the existing object: scorer_ holds a reference to
+    // *model_, which stays valid across the swap.
+    *model_ = std::move(model);
+    serving_->swapping.store(false, std::memory_order_seq_cst);
   }
+  serving_->cache.Invalidate();
   return Status::OK();
 }
 
 QueryCacheStats CiRankEngine::cache_stats() const {
-  QueryCacheStats stats;
-  stats.hits = serving_->cache.hits();
-  stats.misses = serving_->cache.misses();
-  stats.invalidations = serving_->cache.invalidations();
-  stats.entries = serving_->cache.size();
-  serving_->SyncCacheMetrics(metrics_);
-  return stats;
+  return serving_->cache.Stats();
 }
 
 }  // namespace cirank

@@ -1,12 +1,12 @@
 // CiRankEngine: the public entry point of the library. Owns the derived
 // state for one data graph (inverted index, PageRank importance, RWMP
 // model) and serves top-k keyword queries — single, batched across a
-// thread pool, and memoized through a sharded LRU result cache that user
-// feedback invalidates.
+// thread pool, and memoized through a ResultCache (core/result_cache.h)
+// that user feedback invalidates.
 //
 // Typical use:
 //   Graph graph = ...;                       // build via GraphBuilder
-//   auto engine = CiRankEngine::Build(graph);
+//   auto engine = CiRankEngine::Builder(graph).Build();
 //   auto answers = engine->Search(Query::MustParse("papakonstantinou ullman"));
 //   auto batch = engine->SearchBatch(queries, {.num_threads = 8});
 //
@@ -28,11 +28,11 @@
 #include "core/feedback.h"
 #include "core/naive_search.h"
 #include "core/options.h"
+#include "core/result_cache.h"
 #include "core/rwmp.h"
 #include "core/scorer.h"
 #include "graph/graph.h"
 #include "obs/metrics.h"
-#include "obs/request_context.h"
 #include "obs/trace.h"
 #include "rw/pagerank.h"
 #include "text/inverted_index.h"
@@ -61,14 +61,6 @@ struct CiRankOptions {
   // span plus one span per Prepare/Expand/Emit stage, exportable as Chrome
   // trace_event JSON (obs/trace.h). Null (the default) disables tracing.
   obs::TraceCollector* trace = nullptr;
-};
-
-// Snapshot of the query-result cache counters.
-struct QueryCacheStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t invalidations = 0;
-  size_t entries = 0;
 };
 
 class CiRankEngine {
@@ -113,22 +105,6 @@ class CiRankEngine {
                                            const SearchOverrides& overrides,
                                            SearchStats* stats = nullptr) const;
 
-  // The serving-path entry point (cirankd, src/serve). Like the overrides
-  // Search, but a stats-requesting call may still be served from the query
-  // cache: a hit fills `stats` with just the from_cache marker and the
-  // executor name (every counter zero — no search ran), which is exactly
-  // what the HTTP response envelope reports to clients. Also refreshes the
-  // cache gauges so a /metrics scrape between queries sees current entry
-  // counts. Deadline- or budget-limited queries still bypass the cache.
-  // `request` (optional) carries the request-scoped trace id (DESIGN.md
-  // §14); when non-null it is threaded into the ExecutionContext so every
-  // span the query records joins against the serving layer's logs and
-  // /debug/requestz. It never affects ranking — results are byte-identical
-  // with or without it.
-  [[nodiscard]] Result<std::vector<RankedAnswer>> ServingSearch(
-      const Query& query, const SearchOverrides& overrides,
-      SearchStats* stats, const obs::RequestContext* request = nullptr) const;
-
   // The engine's view of MergeOverrides (core/options.h): the overrides
   // applied over this engine's default SearchOptions. Exposed for callers
   // that want to inspect the effective configuration.
@@ -159,7 +135,8 @@ class CiRankEngine {
   // Recomputes PageRank with the feedback-personalized teleport vector and
   // swaps the RWMP model in place (the scorer keeps pointing at it).
   // Requires exclusive access: fails with FailedPrecondition when searches
-  // are visibly in flight. Clears the query cache.
+  // are in flight before the PageRank run or at the swap (a search starting
+  // during the swap waits for it). Clears the query cache.
   [[nodiscard]] Status RebuildFromFeedback(const FeedbackOptions& options = {});
 
   // Accumulated click mass of `v` (thread-safe snapshot).
@@ -187,16 +164,12 @@ class CiRankEngine {
 
   CiRankEngine();
 
-  // Cache-aware search over fully resolved options; `use_cache` further
-  // gates the lookup (the cache may also be disabled engine-wide, and
-  // deadline- or budget-limited queries are never cached — a truncated
-  // result is time-dependent). With `stats_from_cache_ok` a cache hit
-  // fills `stats` with just the from_cache marker; otherwise a
-  // stats-requesting call is served fresh so its counters are real.
-  Result<std::vector<RankedAnswer>> CachedSearch(
-      const Query& query, const SearchOptions& options, bool use_cache,
-      SearchStats* stats, bool stats_from_cache_ok = false,
-      uint64_t trace_id = 0) const;
+  // Lookup → ExecuteUncached → store over fully resolved options; `path`
+  // selects the result-cache contract (core/result_cache.h).
+  Result<std::vector<RankedAnswer>> CachedSearch(const Query& query,
+                                                 const SearchOptions& options,
+                                                 ResultCache::Path path,
+                                                 SearchStats* stats) const;
 
   // The single fresh-execution path: dispatches through the executor
   // registry, wires the engine's metrics/trace sinks into the pipeline, and

@@ -1,16 +1,13 @@
 #include "core/execution.h"
 
 #include <algorithm>
-#include <map>
 #include <utility>
 
 #include "core/bnb_search.h"
 #include "core/naive_search.h"
 #include "core/order_by.h"
 #include "core/parallel_search.h"
-#include "util/annotations.h"
 #include "util/check.h"
-#include "util/mutex.h"
 #include "util/timer.h"
 
 namespace cirank {
@@ -75,77 +72,36 @@ Status ExecutionContext::stop_status() const {
 }
 
 // ---------------------------------------------------------------------------
+// Executor factories
+
+Status ValidateExecutorEnv(const ExecutorEnv& env) {
+  if (env.scorer == nullptr || env.query == nullptr) {
+    return Status::InvalidArgument("executor env missing scorer or query");
+  }
+  if (env.query->empty()) return Status::InvalidArgument("empty query");
+  if (env.query->size() > Query::kMaxKeywords) {
+    return Status::InvalidArgument("at most 31 keywords are supported");
+  }
+  if (env.options.k <= 0) return Status::InvalidArgument("k must be positive");
+  return Status::OK();
+}
+
+// ---------------------------------------------------------------------------
 // ExecutorRegistry
 
-struct ExecutorRegistry::Impl {
-  mutable Mutex mu;
-  std::map<std::string, ExecutorFactory> factories CIRANK_GUARDED_BY(mu);
-};
-
-ExecutorRegistry::ExecutorRegistry() : impl_(std::make_unique<Impl>()) {}
-ExecutorRegistry::~ExecutorRegistry() = default;
-
+template <>
 ExecutorRegistry& ExecutorRegistry::Global() {
   // The core executors are registered on first use; baselines add theirs
   // via RegisterBaselineExecutors() (explicit, to avoid a core→baselines
   // dependency cycle and static-initialization-order traps).
   static ExecutorRegistry* registry = [] {
-    auto* r = new ExecutorRegistry();
+    auto* r = new ExecutorRegistry("executor");
     CIRANK_CHECK_OK(r->Register("bnb", MakeBnbExecutor));
     CIRANK_CHECK_OK(r->Register("parallel", MakeParallelBnbExecutor));
     CIRANK_CHECK_OK(r->Register("naive", MakeNaiveExecutor));
     return r;
   }();
   return *registry;
-}
-
-Status ExecutorRegistry::Register(std::string name, ExecutorFactory factory) {
-  if (name.empty()) return Status::InvalidArgument("executor name is empty");
-  if (factory == nullptr) {
-    return Status::InvalidArgument("executor factory is null");
-  }
-  MutexLock lk(impl_->mu);
-  if (!impl_->factories.emplace(std::move(name), std::move(factory)).second) {
-    return Status::InvalidArgument("executor already registered");
-  }
-  return Status::OK();
-}
-
-Result<std::unique_ptr<SearchExecutor>> ExecutorRegistry::Create(
-    const std::string& name, const ExecutorEnv& env) const {
-  ExecutorFactory factory;
-  {
-    MutexLock lk(impl_->mu);
-    auto it = impl_->factories.find(name);
-    if (it == impl_->factories.end()) {
-      std::string known;
-      for (const auto& [n, f] : impl_->factories) {
-        (void)f;
-        if (!known.empty()) known += ", ";
-        known += n;
-      }
-      return Status::NotFound("unknown executor '" + name +
-                              "' (registered: " + known + ")");
-    }
-    factory = it->second;
-  }
-  return factory(env);
-}
-
-bool ExecutorRegistry::Contains(const std::string& name) const {
-  MutexLock lk(impl_->mu);
-  return impl_->factories.count(name) != 0;
-}
-
-std::vector<std::string> ExecutorRegistry::Names() const {
-  MutexLock lk(impl_->mu);
-  std::vector<std::string> names;
-  names.reserve(impl_->factories.size());
-  for (const auto& [n, f] : impl_->factories) {
-    (void)f;
-    names.push_back(n);
-  }
-  return names;
 }
 
 // ---------------------------------------------------------------------------

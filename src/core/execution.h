@@ -32,6 +32,7 @@
 #include "core/bounds.h"
 #include "core/jtt.h"
 #include "core/options.h"
+#include "core/registry.h"
 #include "core/scorer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -79,8 +80,9 @@ struct SearchStats {
   // The deadline or candidate budget cut the search short; the answers are
   // the best found so far, not a proven top-k.
   bool truncated = false;
-  // The result was served from the engine's LRU cache (batch path); all
-  // other counters are zero because no search ran.
+  // The result was served from a result cache (core/result_cache.h) on the
+  // serving or batch path; besides the executor and ranker names every
+  // field stays zero because no search ran.
   bool from_cache = false;
   // Name of the executor that served the query ("bnb", "parallel", ...).
   std::string executor;
@@ -241,33 +243,21 @@ struct ExecutorEnv {
   uint64_t trace_id = 0;
 };
 
-using ExecutorFactory =
-    std::function<Result<std::unique_ptr<SearchExecutor>>(const ExecutorEnv&)>;
+// The argument checks every executor factory shares: a scorer and a
+// non-empty query of at most Query::kMaxKeywords keywords, and k > 0.
+// Executors with knobs of their own ("parallel"'s num_threads) check those
+// on top.
+[[nodiscard]] Status ValidateExecutorEnv(const ExecutorEnv& env);
 
-// Name → factory map. The global instance comes pre-loaded with the core
-// executors ("bnb", "parallel", "naive"); baselines register via
-// RegisterBaselineExecutors() (baselines/baseline_executors.h) to keep the
-// core library free of a dependency cycle. Thread-safe.
-class ExecutorRegistry {
- public:
-  // The process-wide registry used by CiRankEngine.
-  static ExecutorRegistry& Global();
-
-  // Fails with AlreadyExists-style InvalidArgument on duplicate names.
-  [[nodiscard]] Status Register(std::string name, ExecutorFactory factory);
-
-  [[nodiscard]] Result<std::unique_ptr<SearchExecutor>> Create(
-      const std::string& name, const ExecutorEnv& env) const;
-
-  bool Contains(const std::string& name) const;
-  std::vector<std::string> Names() const;  // sorted
-
- private:
-  struct Impl;
-  ExecutorRegistry();
-  ~ExecutorRegistry();
-  std::unique_ptr<Impl> impl_;
-};
+// Name → factory map (core/registry.h). The global instance, used by
+// CiRankEngine, comes pre-loaded with the core executors ("bnb",
+// "parallel", "naive"); baselines register via RegisterBaselineExecutors()
+// (baselines/baseline_executors.h) to keep the core library free of a
+// dependency cycle.
+using ExecutorRegistry = FactoryRegistry<SearchExecutor, ExecutorEnv>;
+template <>
+ExecutorRegistry& ExecutorRegistry::Global();
+using ExecutorFactory = ExecutorRegistry::Factory;
 
 // Drives one executor through Prepare → Expand → Emit, timing each stage
 // into ctx.stages() and folding the context's counters into `stats` (when

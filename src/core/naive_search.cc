@@ -6,6 +6,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "core/ranker.h"
 
@@ -246,19 +247,21 @@ namespace {
 // pipeline stages. Prepare enumerates the full answer pool (BFS + path
 // combination) and builds the ranker; Expand scores the pool under the
 // selected ranker, checking the deadline/budget guard between trees; Emit
-// ranks the collected answers.
+// ranks the collected answers. Registered under other names, it is also
+// the pool-scoring baseline executors (MakePinnedRankerExecutor).
 class NaiveExecutor final : public SearchExecutor {
  public:
-  NaiveExecutor(const TreeScorer& scorer, const Query& query,
+  NaiveExecutor(std::string name, const TreeScorer& scorer, const Query& query,
                 const NaiveSearchOptions& options,
                 const SearchOptions& search_options)
-      : scorer_(scorer),
+      : name_(std::move(name)),
+        scorer_(scorer),
         query_(query),
         options_(options),
         search_options_(search_options),
         answers_(static_cast<size_t>(options.k)) {}
 
-  std::string_view name() const override { return "naive"; }
+  std::string_view name() const override { return name_; }
 
   Status Prepare(ExecutionContext& ctx) override {
     // Pool scoring never consults UpperBound, so the ranker is built without
@@ -301,6 +304,7 @@ class NaiveExecutor final : public SearchExecutor {
   }
 
  private:
+  const std::string name_;
   const TreeScorer& scorer_;
   const Query& query_;
   const NaiveSearchOptions options_;
@@ -311,24 +315,30 @@ class NaiveExecutor final : public SearchExecutor {
   int64_t scored_ = 0;
 };
 
-}  // namespace
-
-Result<std::unique_ptr<SearchExecutor>> MakeNaiveExecutor(
-    const ExecutorEnv& env) {
-  if (env.scorer == nullptr || env.query == nullptr) {
-    return Status::InvalidArgument("executor env missing scorer or query");
-  }
-  if (env.query->empty()) return Status::InvalidArgument("empty query");
-  if (env.query->size() > Query::kMaxKeywords) {
-    return Status::InvalidArgument("at most 31 keywords are supported");
-  }
-  if (env.options.k <= 0) return Status::InvalidArgument("k must be positive");
+Result<std::unique_ptr<SearchExecutor>> MakeNamedNaiveExecutor(
+    std::string name, const ExecutorEnv& env,
+    const SearchOptions& search_options) {
+  CIRANK_RETURN_IF_ERROR(ValidateExecutorEnv(env));
   NaiveSearchOptions options;
   options.k = env.options.k;
   options.max_diameter = env.options.max_diameter;
   std::unique_ptr<SearchExecutor> executor = std::make_unique<NaiveExecutor>(
-      *env.scorer, *env.query, options, env.options);
+      std::move(name), *env.scorer, *env.query, options, search_options);
   return executor;
+}
+
+}  // namespace
+
+Result<std::unique_ptr<SearchExecutor>> MakeNaiveExecutor(
+    const ExecutorEnv& env) {
+  return MakeNamedNaiveExecutor("naive", env, env.options);
+}
+
+Result<std::unique_ptr<SearchExecutor>> MakePinnedRankerExecutor(
+    const ExecutorEnv& env, const std::string& ranker) {
+  SearchOptions search_options = env.options;
+  search_options.ranker = ranker;
+  return MakeNamedNaiveExecutor(ranker, env, search_options);
 }
 
 Result<std::vector<RankedAnswer>> NaiveSearch(const TreeScorer& scorer,
@@ -343,7 +353,7 @@ Result<std::vector<RankedAnswer>> NaiveSearch(const TreeScorer& scorer,
   SearchOptions search_options;
   search_options.k = options.k;
   search_options.max_diameter = options.max_diameter;
-  NaiveExecutor executor(scorer, query, options, search_options);
+  NaiveExecutor executor("naive", scorer, query, options, search_options);
   ExecutionContext ctx(ExecutionLimits{});
   return RunSearchPipeline(executor, ctx, stats);
 }

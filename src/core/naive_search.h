@@ -9,6 +9,7 @@
 #define CIRANK_CORE_NAIVE_SEARCH_H_
 
 #include <memory>
+#include <string>
 
 #include "core/bnb_search.h"
 #include "core/execution.h"
@@ -50,6 +51,12 @@ struct NaiveSearchOptions {
 // Query::kMaxKeywords keywords, or non-positive k.
 [[nodiscard]] Result<std::unique_ptr<SearchExecutor>> MakeNaiveExecutor(
     const ExecutorEnv& env);
+
+// The naive executor named after `ranker` and pinned to it: it scores the
+// neutral pool with that registered ranker whatever SearchOptions::ranker
+// says. The "spark" and "discover2" baseline executors are this executor.
+[[nodiscard]] Result<std::unique_ptr<SearchExecutor>> MakePinnedRankerExecutor(
+    const ExecutorEnv& env, const std::string& ranker);
 
 // DEPRECATED for application code: prefer CiRankEngine::Search with
 // SearchOverrides().WithExecutor("naive") — the ExecutorRegistry path adds

@@ -5,7 +5,8 @@
 //   SearchOverrides    — sparse per-call overrides merged over an engine's
 //                        default SearchOptions by MergeOverrides(); only
 //                        fields the caller explicitly set replace defaults.
-//   QueryCacheOptions  — sizing of the engine's query-result LRU cache.
+//   QueryCacheOptions  — sizing of a ResultCache (the engine's query-result
+//                        cache, the sharded facade's merged-result cache).
 //   BatchSearchOptions — SearchBatch knobs; embeds a SearchOverrides so the
 //                        batch path shares the single merge function
 //                        instead of duplicating merge logic.
@@ -184,9 +185,9 @@ SearchOptions MergeOverrides(const SearchOptions& base,
                              const SearchOverrides& overrides);
 
 struct QueryCacheOptions {
-  // Total cached query results across shards; 0 disables the cache.
+  // Total cached query results, spread over ResultCache::kLruShards LRU
+  // shards (core/result_cache.h); 0 disables the cache.
   size_t capacity = 1024;
-  size_t shards = 8;
 };
 
 struct BatchSearchOptions {

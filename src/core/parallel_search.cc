@@ -386,14 +386,7 @@ class ParallelBnbExecutor final : public SearchExecutor {
 
 Result<std::unique_ptr<SearchExecutor>> MakeParallelBnbExecutor(
     const ExecutorEnv& env) {
-  if (env.scorer == nullptr || env.query == nullptr) {
-    return Status::InvalidArgument("executor env missing scorer or query");
-  }
-  if (env.query->empty()) return Status::InvalidArgument("empty query");
-  if (env.query->size() > Query::kMaxKeywords) {
-    return Status::InvalidArgument("at most 31 keywords are supported");
-  }
-  if (env.options.k <= 0) return Status::InvalidArgument("k must be positive");
+  CIRANK_RETURN_IF_ERROR(ValidateExecutorEnv(env));
   if (env.options.num_threads < 1) {
     return Status::InvalidArgument("num_threads must be >= 1");
   }

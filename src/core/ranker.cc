@@ -3,13 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <optional>
 
 #include "core/bounds.h"
-#include "util/annotations.h"
 #include "util/check.h"
-#include "util/mutex.h"
 
 namespace cirank {
 
@@ -250,20 +247,13 @@ double Bm25TextScore(const InvertedIndex& index, const Jtt& tree,
 // ---------------------------------------------------------------------------
 // RankerRegistry
 
-struct RankerRegistry::Impl {
-  mutable Mutex mu;
-  std::map<std::string, RankerFactory> factories CIRANK_GUARDED_BY(mu);
-};
-
-RankerRegistry::RankerRegistry() : impl_(std::make_unique<Impl>()) {}
-RankerRegistry::~RankerRegistry() = default;
-
+template <>
 RankerRegistry& RankerRegistry::Global() {
   // The core rankers are registered on first use; baselines add theirs via
   // RegisterBaselineExecutors() (explicit, to avoid a core→baselines
   // dependency cycle and static-initialization-order traps).
   static RankerRegistry* registry = [] {
-    auto* r = new RankerRegistry();
+    auto* r = new RankerRegistry("ranker");
     CIRANK_CHECK_OK(r->Register("rwmp", MakeBuiltin<RwmpRanker>));
     CIRANK_CHECK_OK(
         r->Register("rwmp_x_text", MakeBuiltin<CompositeTextRanker>));
@@ -276,55 +266,6 @@ RankerRegistry& RankerRegistry::Global() {
     return r;
   }();
   return *registry;
-}
-
-Status RankerRegistry::Register(std::string name, RankerFactory factory) {
-  if (name.empty()) return Status::InvalidArgument("ranker name is empty");
-  if (factory == nullptr) {
-    return Status::InvalidArgument("ranker factory is null");
-  }
-  MutexLock lk(impl_->mu);
-  if (!impl_->factories.emplace(std::move(name), std::move(factory)).second) {
-    return Status::InvalidArgument("ranker already registered");
-  }
-  return Status::OK();
-}
-
-Result<std::unique_ptr<Ranker>> RankerRegistry::Create(
-    const std::string& name, const RankerEnv& env) const {
-  RankerFactory factory;
-  {
-    MutexLock lk(impl_->mu);
-    auto it = impl_->factories.find(name);
-    if (it == impl_->factories.end()) {
-      std::string known;
-      for (const auto& [n, f] : impl_->factories) {
-        (void)f;
-        if (!known.empty()) known += ", ";
-        known += n;
-      }
-      return Status::NotFound("unknown ranker '" + name +
-                              "' (registered: " + known + ")");
-    }
-    factory = it->second;
-  }
-  return factory(env);
-}
-
-bool RankerRegistry::Contains(const std::string& name) const {
-  MutexLock lk(impl_->mu);
-  return impl_->factories.count(name) != 0;
-}
-
-std::vector<std::string> RankerRegistry::Names() const {
-  MutexLock lk(impl_->mu);
-  std::vector<std::string> names;
-  names.reserve(impl_->factories.size());
-  for (const auto& [n, f] : impl_->factories) {
-    (void)f;
-    names.push_back(n);
-  }
-  return names;
 }
 
 }  // namespace cirank

@@ -25,6 +25,7 @@
 #include "core/candidate.h"
 #include "core/jtt.h"
 #include "core/options.h"
+#include "core/registry.h"
 #include "core/scorer.h"
 #include "util/status.h"
 
@@ -70,34 +71,16 @@ struct RankerEnv {
   SearchOptions options;
 };
 
-using RankerFactory =
-    std::function<Result<std::unique_ptr<Ranker>>(const RankerEnv&)>;
-
-// Name → factory map, mirroring ExecutorRegistry. The global instance comes
-// pre-loaded with the core rankers ("rwmp", "rwmp_x_text", and the Sec. III-B
-// ablations); baselines register "spark"/"discover2"/"banks" via
-// RegisterBaselineExecutors() to keep the core library free of a dependency
-// cycle. Thread-safe.
-class RankerRegistry {
- public:
-  // The process-wide registry used by the executors and the serving layer.
-  static RankerRegistry& Global();
-
-  // Fails with AlreadyExists-style InvalidArgument on duplicate names.
-  [[nodiscard]] Status Register(std::string name, RankerFactory factory);
-
-  [[nodiscard]] Result<std::unique_ptr<Ranker>> Create(
-      const std::string& name, const RankerEnv& env) const;
-
-  bool Contains(const std::string& name) const;
-  std::vector<std::string> Names() const;  // sorted
-
- private:
-  struct Impl;
-  RankerRegistry();
-  ~RankerRegistry();
-  std::unique_ptr<Impl> impl_;
-};
+// Name → factory map, the same implementation as ExecutorRegistry
+// (core/registry.h). The global instance, used by the executors and the
+// serving layer, comes pre-loaded with the core rankers ("rwmp",
+// "rwmp_x_text", and the Sec. III-B ablations); baselines register
+// "spark"/"discover2"/"banks" via RegisterBaselineExecutors() to keep the
+// core library free of a dependency cycle.
+using RankerRegistry = FactoryRegistry<Ranker, RankerEnv>;
+template <>
+RankerRegistry& RankerRegistry::Global();
+using RankerFactory = RankerRegistry::Factory;
 
 // Adapter for scoring functions that live outside src/core (baseline
 // scorers, bench-only ablations, test doubles): wraps plain callables so no

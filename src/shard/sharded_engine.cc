@@ -1,14 +1,12 @@
 #include "shard/sharded_engine.h"
 
 #include <algorithm>
-#include <sstream>
 #include <utility>
 
 #include "core/order_by.h"
 #include "core/topk.h"
 #include "shard/gather.h"
 #include "util/check.h"
-#include "util/lru_cache.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -17,23 +15,12 @@ namespace shard {
 
 namespace {
 
-using CachedAnswers = std::shared_ptr<const std::vector<RankedAnswer>>;
-
-// Mirror of the engine's cache key: everything the merged result depends on
-// besides the model (invalidation handles model changes). Fan-out width is
-// deliberately excluded — parallelism never changes the merged bytes.
-std::string ShardCacheKey(const Query& query, const SearchOptions& options) {
-  std::ostringstream key;
-  for (const std::string& k : query.keywords) key << k << ' ';
-  key << "|k=" << options.k << "|d=" << options.max_diameter
-      << "|x=" << options.max_expansions << "|s=" << options.strict_merge_rule
-      << "|b=" << static_cast<const void*>(options.bounds)
-      << "|e=" << options.executor << "|t=" << options.num_threads
-      << "|r=" << options.ranker << "|o=" << options.order_by
-      << "|w=" << options.composite_rwmp_weight << ','
-      << options.composite_text_weight;
-  return std::move(key).str();
-}
+constexpr ResultCache::MetricNames kMergedCacheMetrics = {
+    "cirank_shard_cache_hits_total",
+    "cirank_shard_cache_misses_total",
+    "cirank_shard_cache_invalidations_total",
+    "cirank_shard_cache_entries",
+    /*lru_shards=*/nullptr};
 
 }  // namespace
 
@@ -112,8 +99,6 @@ struct ShardedEngine::Impl {
   // (the CI smoke greps the prefix). Null when metrics are disabled.
   struct Obs {
     obs::Counter* queries = nullptr;
-    obs::Counter* cache_hits = nullptr;
-    obs::Counter* cache_misses = nullptr;
     obs::Counter* fullscope_fallbacks = nullptr;
     obs::Histogram* query_seconds = nullptr;
     std::vector<obs::Counter*> searches;     // {shard="i"}
@@ -124,17 +109,13 @@ struct ShardedEngine::Impl {
       : engine(e),
         options(std::move(o)),
         plan(std::move(p)),
-        cache(options.cache.capacity, options.cache.shards) {}
+        cache(options.cache, engine->metrics(), kMergedCacheMetrics) {}
 
   void BindObs(obs::MetricsRegistry* m) {
     if (m == nullptr) return;
     obs.queries = &m->GetCounter(
         "cirank_shard_queries_total",
         "Logical queries served by the sharded engine (hits + fresh)");
-    obs.cache_hits = &m->GetCounter("cirank_shard_cache_hits_total",
-                                    "Merged-result cache hits");
-    obs.cache_misses = &m->GetCounter("cirank_shard_cache_misses_total",
-                                      "Merged-result cache misses");
     obs.fullscope_fallbacks = &m->GetCounter(
         "cirank_shard_fullscope_fallback_total",
         "Queries whose diameter exceeded the scope radius, searched at full "
@@ -165,8 +146,7 @@ struct ShardedEngine::Impl {
   CiRankEngine* engine;
   ShardedEngineOptions options;
   ShardPlan plan;
-  // Internally synchronized (per-shard capabilities; see lru_cache.h).
-  mutable ShardedLruCache<std::string, CachedAnswers> cache;
+  ResultCache cache;
   Obs obs;
 };
 
@@ -197,8 +177,7 @@ Result<ShardedEngine> ShardedEngine::Attach(
 Result<std::vector<RankedAnswer>> ShardedEngine::Search(
     const Query& query, SearchStats* stats) const {
   return CachedScatterGather(query, impl_->engine->options().search,
-                             /*use_cache=*/true, stats,
-                             /*stats_from_cache_ok=*/false,
+                             ResultCache::Path::kDirect, stats,
                              /*shard_stats=*/nullptr, /*shard_parallelism=*/0,
                              /*trace_id=*/0);
 }
@@ -206,63 +185,37 @@ Result<std::vector<RankedAnswer>> ShardedEngine::Search(
 Result<std::vector<RankedAnswer>> ShardedEngine::Search(
     const Query& query, const SearchOverrides& overrides, SearchStats* stats,
     ShardedSearchStats* shard_stats, int shard_parallelism) const {
-  return CachedScatterGather(query, impl_->engine->EffectiveOptions(overrides),
-                             /*use_cache=*/true, stats,
-                             /*stats_from_cache_ok=*/false, shard_stats,
-                             shard_parallelism, /*trace_id=*/0);
+  return CachedScatterGather(
+      query, impl_->engine->EffectiveOptions(overrides),
+      shard_stats != nullptr ? ResultCache::Path::kBypass
+                             : ResultCache::Path::kDirect,
+      stats, shard_stats, shard_parallelism, /*trace_id=*/0);
 }
 
 Result<std::vector<RankedAnswer>> ShardedEngine::ServingSearch(
     const Query& query, const SearchOverrides& overrides, SearchStats* stats,
     const obs::RequestContext* request, int shard_parallelism) const {
   return CachedScatterGather(query, impl_->engine->EffectiveOptions(overrides),
-                             /*use_cache=*/true, stats,
-                             /*stats_from_cache_ok=*/true,
+                             ResultCache::Path::kServing, stats,
                              /*shard_stats=*/nullptr, shard_parallelism,
                              request != nullptr ? request->trace_id : 0);
 }
 
 Result<std::vector<RankedAnswer>> ShardedEngine::CachedScatterGather(
-    const Query& query, const SearchOptions& merged, bool use_cache,
-    SearchStats* stats, bool stats_from_cache_ok,
-    ShardedSearchStats* shard_stats, int shard_parallelism,
+    const Query& query, const SearchOptions& merged, ResultCache::Path path,
+    SearchStats* stats, ShardedSearchStats* shard_stats, int shard_parallelism,
     uint64_t trace_id) const {
   Impl& im = *impl_;
   if (im.obs.queries != nullptr) im.obs.queries->Increment();
-  // Same cacheability rule as the engine (deadline/budget results are
-  // time-dependent), plus: per-shard stats requests always run fresh.
-  const bool cacheable = use_cache && im.cache.enabled() &&
-                         merged.deadline_ms <= 0.0 &&
-                         merged.candidate_budget <= 0 &&
-                         shard_stats == nullptr;
-  std::string key;
-  if (cacheable) {
-    key = ShardCacheKey(query, merged);
-    if (stats == nullptr || stats_from_cache_ok) {
-      if (auto hit = im.cache.Get(key); hit.has_value()) {
-        if (im.obs.cache_hits != nullptr) im.obs.cache_hits->Increment();
-        if (stats != nullptr) {
-          *stats = SearchStats{};
-          stats->from_cache = true;
-          stats->executor = merged.executor;
-          stats->ranker = merged.ranker;
-        }
-        return **hit;
-      }
-      if (im.obs.cache_misses != nullptr) im.obs.cache_misses->Increment();
-    }
-  }
+  ResultCache::Probe probe = im.cache.Lookup(query, merged, path, stats);
+  if (probe.hit != nullptr) return *probe.hit;
   Timer timer;
   auto result = ScatterGather(query, merged, stats, shard_stats,
                               shard_parallelism, trace_id);
   if (im.obs.query_seconds != nullptr) {
     im.obs.query_seconds->Observe(timer.ElapsedSeconds());
   }
-  if (!result.ok()) return result;
-  if (cacheable) {
-    im.cache.Put(std::move(key), std::make_shared<const std::vector<
-                                     RankedAnswer>>(result.value()));
-  }
+  if (result.ok()) im.cache.Store(std::move(probe), *result);
   return result;
 }
 
@@ -414,19 +367,19 @@ Status ShardedEngine::RecordFeedback(
     const std::vector<NodeId>& connector_nodes, double weight) {
   CIRANK_RETURN_IF_ERROR(
       impl_->engine->RecordFeedback(matched_nodes, connector_nodes, weight));
-  impl_->cache.Clear();
+  impl_->cache.Invalidate();
   return Status::OK();
 }
 
 Status ShardedEngine::RecordClick(NodeId v, double weight) {
   CIRANK_RETURN_IF_ERROR(impl_->engine->RecordClick(v, weight));
-  impl_->cache.Clear();
+  impl_->cache.Invalidate();
   return Status::OK();
 }
 
 Status ShardedEngine::RebuildFromFeedback(const FeedbackOptions& options) {
   CIRANK_RETURN_IF_ERROR(impl_->engine->RebuildFromFeedback(options));
-  impl_->cache.Clear();
+  impl_->cache.Invalidate();
   return Status::OK();
 }
 
@@ -438,12 +391,7 @@ const ShardedEngineOptions& ShardedEngine::options() const {
 uint32_t ShardedEngine::num_shards() const { return impl_->plan.num_shards(); }
 
 QueryCacheStats ShardedEngine::cache_stats() const {
-  QueryCacheStats stats;
-  stats.hits = impl_->cache.hits();
-  stats.misses = impl_->cache.misses();
-  stats.invalidations = impl_->cache.invalidations();
-  stats.entries = impl_->cache.size();
-  return stats;
+  return impl_->cache.Stats();
 }
 
 }  // namespace shard

@@ -34,6 +34,8 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "core/result_cache.h"
+#include "obs/request_context.h"
 #include "shard/partitioner.h"
 
 namespace cirank {
@@ -92,7 +94,8 @@ struct ShardedEngineOptions {
   int default_parallelism = 0;
   // Sizing of the sharded engine's own merged-result cache. The underlying
   // engine's cache is bypassed (per-shard sub-searches use explicit
-  // options), so this is the only memoization layer in sharded serving.
+  // options), so this is the cache `/search` uses in sharded and unsharded
+  // serving alike.
   QueryCacheOptions cache;
 };
 
@@ -103,11 +106,11 @@ struct ShardedSearchStats {
   int early_stopped_shards = 0;        // stopped on the global threshold
 };
 
-// The sharded facade over one engine. Attach() builds the plan; Search /
-// ServingSearch mirror CiRankEngine's signatures so the serving layer can
-// swap over wholesale. Thread-safe for concurrent searches; feedback must
-// be routed through this object (not the raw engine) so both result caches
-// are invalidated together.
+// The sharded facade over one engine. Attach() builds the plan; Search
+// mirrors CiRankEngine's signatures and ServingSearch is what cirankd
+// serves `/search` through. Thread-safe for concurrent searches; feedback
+// must be routed through this object (not the raw engine) so both result
+// caches are invalidated together.
 class ShardedEngine {
  public:
   // `engine` must outlive the ShardedEngine. Non-const: feedback forwarding
@@ -121,11 +124,12 @@ class ShardedEngine {
 
   // Scatter-gather top-k with the engine's default options; byte-identical
   // to engine->Search(query). Served from the merged-result cache when the
-  // caller passes no stats sink.
+  // caller passes no stats sink (ResultCache::Path::kDirect).
   [[nodiscard]] Result<std::vector<RankedAnswer>> Search(
       const Query& query, SearchStats* stats = nullptr) const;
 
-  // With per-call overrides merged over the engine defaults.
+  // With per-call overrides merged over the engine defaults. A non-null
+  // `shard_stats` bypasses the cache: per-shard counters need a fresh run.
   [[nodiscard]] Result<std::vector<RankedAnswer>> Search(
       const Query& query, const SearchOverrides& overrides,
       SearchStats* stats = nullptr, ShardedSearchStats* shard_stats = nullptr,
@@ -133,11 +137,12 @@ class ShardedEngine {
 
   // Serving-path entry point (cirankd): like Search but a stats-requesting
   // call may still be served from the merged-result cache (the hit fills
-  // only the from_cache marker, exactly CiRankEngine::ServingSearch's
-  // contract), and the request's trace id is threaded into every per-shard
-  // sub-search so shard spans correlate in /debug/requestz.
-  // `shard_parallelism` > 0 overrides the configured per-query fan-out
-  // width; it never affects results, only scheduling.
+  // only the from_cache marker plus the executor and ranker names —
+  // ResultCache::Path::kServing), and the request's trace id is threaded
+  // into every per-shard sub-search so shard spans correlate in
+  // /debug/requestz. It never affects ranking — results are byte-identical
+  // with or without it. `shard_parallelism` > 0 overrides the configured
+  // per-query fan-out width; it never affects results, only scheduling.
   [[nodiscard]] Result<std::vector<RankedAnswer>> ServingSearch(
       const Query& query, const SearchOverrides& overrides, SearchStats* stats,
       const obs::RequestContext* request = nullptr,
@@ -163,11 +168,11 @@ class ShardedEngine {
   struct Impl;
   ShardedEngine();
 
+  // Lookup → ScatterGather → store (core/result_cache.h).
   Result<std::vector<RankedAnswer>> CachedScatterGather(
-      const Query& query, const SearchOptions& merged, bool use_cache,
-      SearchStats* stats, bool stats_from_cache_ok,
-      ShardedSearchStats* shard_stats, int shard_parallelism,
-      uint64_t trace_id) const;
+      const Query& query, const SearchOptions& merged, ResultCache::Path path,
+      SearchStats* stats, ShardedSearchStats* shard_stats,
+      int shard_parallelism, uint64_t trace_id) const;
 
   Result<std::vector<RankedAnswer>> ScatterGather(
       const Query& query, const SearchOptions& merged, SearchStats* stats,

@@ -1,5 +1,5 @@
 // Sharded, mutex-per-shard LRU cache for serving-path memoization (the
-// engine's query-result cache). Sharding keeps the lock hold times of
+// store behind core/result_cache.h). Sharding keeps the lock hold times of
 // concurrent readers from serializing on one mutex; each shard owns an
 // intrusive recency list plus a hash index, both declared
 // CIRANK_GUARDED_BY the shard's mutex so the `tsa` preset proves no

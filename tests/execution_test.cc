@@ -289,6 +289,63 @@ TEST_F(ExecutionEngineTest, BatchCacheHitsCarryFromCacheMarker) {
   EXPECT_GT(from_cache, 0);
 }
 
+// The "spark" and "discover2" executors are the naive executor with the
+// ranker pinned to their own name: the same answers as executor "naive"
+// under that ranker whatever SearchOptions::ranker says, and their own
+// name in stats.executor and the per-executor query counter.
+TEST_F(ExecutionEngineTest, PoolScoringExecutorsAreNaiveWithTheirRanker) {
+  ASSERT_TRUE(RegisterBaselineExecutors().ok());
+  obs::MetricsRegistry metrics;
+  CiRankOptions options;
+  options.metrics = &metrics;
+  options.cache.capacity = 0;
+  auto built = CiRankEngine::Build(dataset_->graph, options);
+  ASSERT_TRUE(built.ok());
+  const CiRankEngine engine = std::move(built).value();
+
+  for (const std::string name : {"spark", "discover2"}) {
+    for (size_t i = 0; i < 3; ++i) {
+      const Query q = Query::MustParse(
+          dataset_->graph.text_of(dataset_->nodes_by_relation[1][i]));
+      const SearchOverrides base = SearchOverrides().WithK(5).WithMaxDiameter(3);
+      SearchStats pinned_stats;
+      auto pinned = engine.Search(
+          q, SearchOverrides(base).WithExecutor(name), &pinned_stats);
+      auto pinned_rwmp = engine.Search(
+          q, SearchOverrides(base).WithExecutor(name).WithRanker("rwmp"));
+      SearchStats naive_stats;
+      auto naive = engine.Search(
+          q, SearchOverrides(base).WithExecutor("naive").WithRanker(name),
+          &naive_stats);
+      ASSERT_TRUE(pinned.ok() && pinned_rwmp.ok() && naive.ok())
+          << name << " query " << i;
+      ASSERT_FALSE(naive->empty()) << name << " query " << i;
+      ASSERT_EQ(pinned->size(), naive->size()) << name << " query " << i;
+      ASSERT_EQ(pinned_rwmp->size(), naive->size()) << name << " query " << i;
+      for (size_t j = 0; j < naive->size(); ++j) {
+        EXPECT_EQ((*pinned)[j].score, (*naive)[j].score)
+            << name << " query " << i << " rank " << j;
+        EXPECT_EQ((*pinned)[j].tree.CanonicalKey(),
+                  (*naive)[j].tree.CanonicalKey())
+            << name << " query " << i << " rank " << j;
+        EXPECT_EQ((*pinned_rwmp)[j].score, (*naive)[j].score)
+            << name << " query " << i << " rank " << j;
+      }
+      EXPECT_EQ(pinned_stats.executor, name);
+      EXPECT_EQ(pinned_stats.ranker, name);
+      EXPECT_EQ(naive_stats.executor, "naive");
+      EXPECT_EQ(pinned_stats.generated, naive_stats.generated);
+      EXPECT_EQ(pinned_stats.answers_found, naive_stats.answers_found);
+    }
+    EXPECT_EQ(metrics
+                  .GetCounter("cirank_executor_queries_total{executor=\"" +
+                              name + "\"}")
+                  .Value(),
+              6)
+        << name;
+  }
+}
+
 TEST_F(ExecutionEngineTest, DeadlineLimitedQueriesAreNeverCached) {
   SearchOverrides overrides;
   overrides.k = 3;

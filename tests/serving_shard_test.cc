@@ -32,6 +32,16 @@ using testing_util::ServingHarnessDiagnostics;
       << lhs##_result.status().ToString();                 \
   auto lhs = std::move(lhs##_result).value()
 
+// Reads one unlabeled gauge from a /metrics scrape; -1 when absent.
+double ScrapeGauge(ServingHarness& h, const std::string& family) {
+  auto response = h.RoundTrip("GET", "/metrics");
+  if (!response.ok()) return -1.0;
+  const std::string needle = "\n" + family + " ";
+  const size_t at = response->body.find(needle);
+  if (at == std::string::npos) return -1.0;
+  return std::stod(response->body.substr(at + needle.size()));
+}
+
 std::unique_ptr<ServingHarness> MakeShardedHarness(size_t cache_capacity = 0) {
   return MakeServingHarness(/*seed=*/11, /*num_nodes=*/150, cache_capacity,
                             /*num_workers=*/4, ServingHarnessDiagnostics{},
@@ -195,7 +205,7 @@ TEST(ServingShardTest, ShardMetricFamiliesAreExported) {
         "cirank_shard_searches_total{shard=\"3\"}",
         "cirank_shard_owned_nodes{shard=\"0\"}",
         "cirank_shard_scope_nodes{shard=\"0\"}",
-        "cirank_shard_query_seconds"}) {
+        "cirank_shard_query_seconds", "cirank_shard_cache_entries"}) {
     EXPECT_NE(response.body.find(family), std::string::npos)
         << "missing metric family " << family;
   }
@@ -214,6 +224,30 @@ TEST(ServingShardTest, FeedbackThroughServerInvalidatesMergedCache) {
   // serves through a ShardedEngine — clears the merged-result cache.
   ASSERT_TRUE(h->sharded->RecordClick(0).ok());
   EXPECT_EQ(h->sharded->cache_stats().entries, 0u);
+}
+
+// /search memoizes through the facade's merged-result cache, not the
+// engine's, so the facade's own entry gauge is what a scrape must report:
+// equal to cache_stats().entries after searches and after a click. The
+// gauge is scraped before cache_stats() runs, which also refreshes it.
+TEST(ServingShardTest, MergedCacheEntryGaugeMatchesCacheStats) {
+  auto h = MakeShardedHarness(/*cache_capacity=*/16);
+  for (const char* body : {"{\"query\":\"kw0\",\"k\":2}",
+                           "{\"query\":\"kw0 kw1\",\"k\":3}",
+                           "{\"query\":\"kw0\",\"k\":2}"}) {
+    ASSERT_OK_AND_MOVE(search, h->RoundTrip("POST", "/search", body));
+    ASSERT_EQ(search.status_code, 200) << search.body;
+  }
+  const double after_searches = ScrapeGauge(*h, "cirank_shard_cache_entries");
+  EXPECT_EQ(after_searches,
+            static_cast<double>(h->sharded->cache_stats().entries));
+  EXPECT_EQ(after_searches, 2.0);
+
+  ASSERT_TRUE(h->sharded->RecordClick(0).ok());
+  const double after_click = ScrapeGauge(*h, "cirank_shard_cache_entries");
+  EXPECT_EQ(after_click,
+            static_cast<double>(h->sharded->cache_stats().entries));
+  EXPECT_EQ(after_click, 0.0);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "serve/json.h"
 #include "serve/request.h"
 #include "serve/server.h"
+#include "shard/sharded_engine.h"
 #include "test_util.h"
 #include "util/status.h"
 #include "util/version.h"
@@ -589,7 +590,8 @@ TEST(ServingDiagnosticsTest, RequestLogDisabledAtZeroCapacity) {
 }
 
 // Differential: diagnostics fully off (no metrics, no trace, no request
-// context) produces byte-identical answers to diagnostics fully on. The
+// context) produces byte-identical answers to diagnostics fully on, through
+// ShardedEngine::ServingSearch — the path cirankd serves /search on. The
 // whole subsystem observes; it never steers.
 TEST(ServingDiagnosticsTest, DiagnosticsOffIsByteIdenticalToOn) {
   const Graph graph = testing_util::MakeRandomGraph(/*seed=*/13, 150);
@@ -600,10 +602,12 @@ TEST(ServingDiagnosticsTest, DiagnosticsOffIsByteIdenticalToOn) {
   on.metrics = &registry;
   on.trace = &collector;
   ASSERT_OK_AND_MOVE(engine_on, CiRankEngine::Build(graph, on));
+  ASSERT_OK_AND_MOVE(sharded_on, shard::ShardedEngine::Attach(&engine_on));
 
   CiRankOptions off;
   off.metrics_enabled = false;
   ASSERT_OK_AND_MOVE(engine_off, CiRankEngine::Build(graph, off));
+  ASSERT_OK_AND_MOVE(sharded_off, shard::ShardedEngine::Attach(&engine_off));
 
   for (const char* text : {"kw0", "kw0 kw1", "kw1 kw2 kw3"}) {
     const Query query = Query::MustParse(text);
@@ -611,11 +615,11 @@ TEST(ServingDiagnosticsTest, DiagnosticsOffIsByteIdenticalToOn) {
     obs::RequestContext ctx;
     ctx.trace_id = obs::MintTraceId();
     SearchStats stats_on, stats_off;
-    ASSERT_OK_AND_MOVE(with_diag, engine_on.ServingSearch(query, overrides,
-                                                          &stats_on, &ctx));
+    ASSERT_OK_AND_MOVE(with_diag, sharded_on.ServingSearch(query, overrides,
+                                                           &stats_on, &ctx));
     ASSERT_OK_AND_MOVE(without_diag,
-                       engine_off.ServingSearch(query, overrides, &stats_off,
-                                                nullptr));
+                       sharded_off.ServingSearch(query, overrides, &stats_off,
+                                                 nullptr));
     EXPECT_EQ(serve::RenderAnswersJson(with_diag, graph),
               serve::RenderAnswersJson(without_diag, graph))
         << "diagnostics changed the answer bytes for: " << text;
