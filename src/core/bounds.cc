@@ -1,6 +1,7 @@
 #include "core/bounds.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "util/check.h"
@@ -24,7 +25,8 @@ UpperBoundCalculator::UpperBoundCalculator(const TreeScorer& scorer,
     : scorer_(&scorer),
       query_(&query),
       max_diameter_(max_diameter),
-      bounds_(bounds) {
+      bounds_(bounds),
+      max_dampening_(scorer.model().max_dampening()) {
   CIRANK_DCHECK(query.size() <= 31);
   all_mask_ = query.empty()
                   ? 0
@@ -41,6 +43,16 @@ UpperBoundCalculator::UpperBoundCalculator(const TreeScorer& scorer,
   }
 }
 
+double UpperBoundCalculator::IndexTransmissionBound(NodeId from,
+                                                    NodeId to) const {
+  if (bounds_ == nullptr) return 1.0;
+  const uint32_t ds = bounds_->DistanceLowerBound(from, to);
+  if (ds == kUnreachable || ds > max_diameter_) return 0.0;
+  const double closed_form =
+      ds <= 1 ? 1.0 : std::pow(max_dampening_, static_cast<double>(ds - 1));
+  return std::min(closed_form, bounds_->TransmissionBound(from, to));
+}
+
 double UpperBoundCalculator::NeighborDampening(NodeId r) const {
   auto it = neighbor_damp_cache_.find(r);
   if (it != neighbor_damp_cache_.end()) return it->second;
@@ -53,8 +65,7 @@ double UpperBoundCalculator::NeighborDampening(NodeId r) const {
   return best;
 }
 
-double UpperBoundCalculator::AttachBound(size_t keyword_idx, NodeId r,
-                                         uint32_t /*root_ecc*/) const {
+double UpperBoundCalculator::AttachBound(size_t keyword_idx, NodeId r) const {
   const auto key = std::make_pair(keyword_idx, r);
   auto it = attach_cache_.find(key);
   if (it != attach_cache_.end()) return it->second;
@@ -72,22 +83,16 @@ double UpperBoundCalculator::AttachBound(size_t keyword_idx, NodeId r,
     // A non-adjacent source must route through at least one interior node,
     // whose dampening is at most the best neighbor of r (paper's refined
     // complete estimate); an index bound tightens this further.
-    double transmission =
-        graph.has_edge(src.node, r) ? 1.0 : nb_damp;
-    if (bounds_ != nullptr) {
-      const uint32_t ds = bounds_->DistanceLowerBound(src.node, r);
-      if (ds == kUnreachable || ds > max_diameter_) continue;
-      transmission = std::min(transmission,
-                              bounds_->TransmissionBound(src.node, r));
-    }
+    const double transmission =
+        std::min(graph.has_edge(src.node, r) ? 1.0 : nb_damp,
+                 IndexTransmissionBound(src.node, r));
     best = std::max(best, src.emission * transmission);
   }
   attach_cache_[key] = best;
   return best;
 }
 
-double UpperBoundCalculator::OutsideBound(NodeId r,
-                                          uint32_t /*root_ecc*/) const {
+double UpperBoundCalculator::OutsideBound(NodeId r) const {
   auto it = outside_cache_.find(r);
   if (it != outside_cache_.end()) return it->second;
 
@@ -98,13 +103,9 @@ double UpperBoundCalculator::OutsideBound(NodeId r,
   for (const auto& sources : keyword_sources_) {
     for (const SourceInfo& src : sources) {
       if (src.node == r) continue;
-      double transmission = graph.has_edge(r, src.node) ? 1.0 : nb_damp;
-      if (bounds_ != nullptr) {
-        const uint32_t ds = bounds_->DistanceLowerBound(r, src.node);
-        if (ds == kUnreachable || ds > max_diameter_) continue;
-        transmission = std::min(transmission,
-                                bounds_->TransmissionBound(r, src.node));
-      }
+      const double transmission =
+          std::min(graph.has_edge(r, src.node) ? 1.0 : nb_damp,
+                   IndexTransmissionBound(r, src.node));
       best = std::max(best, transmission * model.dampening(src.node));
     }
   }
@@ -117,7 +118,6 @@ double UpperBoundCalculator::UpperBound(const Candidate& c) const {
   const RwmpModel& model = scorer_->model();
   const InvertedIndex& index = scorer_->index();
   const NodeId r = c.root();
-  const uint32_t ecc = c.tree.EccentricityOf(r);
 
   // In-tree sources and their flows.
   std::vector<SourceInfo> in_tree;
@@ -152,7 +152,7 @@ double UpperBoundCalculator::UpperBound(const Candidate& c) const {
   std::vector<double> attach;
   for (size_t k = 0; k < query_->size(); ++k) {
     if (c.covered & (KeywordMask{1} << k)) continue;
-    const double a = AttachBound(k, r, ecc);
+    const double a = AttachBound(k, r);
     if (a <= 0.0) return 0.0;  // this keyword can never be supplied
     missing.push_back(k);
     attach.push_back(a);
@@ -176,7 +176,7 @@ double UpperBoundCalculator::UpperBound(const Candidate& c) const {
       // whose flows are bounded by the best attachment over any keyword.
       double any_attach = 0.0;
       for (size_t k = 0; k < query_->size(); ++k) {
-        any_attach = std::max(any_attach, AttachBound(k, r, ecc));
+        any_attach = std::max(any_attach, AttachBound(k, r));
       }
       bound = std::max(in_tree[j].emission, any_attach * tau_j);
     }
@@ -190,7 +190,7 @@ double UpperBoundCalculator::UpperBound(const Candidate& c) const {
   for (size_t i = 0; i < in_tree.size(); ++i) {
     weakest_leave = std::min(weakest_leave, leave_root(i));
   }
-  const double pe = weakest_leave * OutsideBound(r, ecc);
+  const double pe = weakest_leave * OutsideBound(r);
 
   return std::max(best_node_bound, pe);
 }

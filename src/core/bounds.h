@@ -28,6 +28,10 @@ namespace cirank {
 // Pairwise pre-computed bounds (Sec. V). The default implementation knows
 // nothing and returns the trivially admissible values; the index module
 // provides tighter ones (naive and star indexes).
+// Stored per-pair transmissions (NaiveIndex, exact-mode StarIndex) describe
+// the model the provider was built from, not one RebuildFromFeedback
+// publishes later; no served path uses them. UpperBoundCalculator applies
+// the closed form over distances under the model being searched.
 class PairwiseBoundProvider {
  public:
   virtual ~PairwiseBoundProvider() = default;
@@ -64,6 +68,13 @@ class UpperBoundCalculator {
   // Returns 0 when some missing keyword provably cannot be supplied.
   double UpperBound(const Candidate& c) const;
 
+  // The index's bound on the max-product transmission from -> to as pruning
+  // applies it: d_max^(DS - 1) under the scorer's model, DS being the
+  // provider's distance lower bound (a path of L >= DS hops has L - 1
+  // interior nodes, each keeping at most d_max), capped by the provider's
+  // TransmissionBound. 0 beyond the diameter limit; 1 without a provider.
+  double IndexTransmissionBound(NodeId from, NodeId to) const;
+
   KeywordMask all_keywords_mask() const { return all_mask_; }
 
   // Number of UpperBound() evaluations so far (StageStats::bound_calls).
@@ -78,26 +89,24 @@ class UpperBoundCalculator {
   // Max over graph out-neighbors b of r of dampening(b); cached per root.
   double NeighborDampening(NodeId r) const;
 
-  // Max over x in En(k) of emission(x) * (bound on transmission x -> r),
-  // restricted to x that can still fit within the diameter limit given the
-  // root's eccentricity inside the candidate.
-  double AttachBound(size_t keyword_idx, NodeId r, uint32_t root_ecc) const;
+  // Max over x in En(k) of emission(x) * (bound on transmission x -> r).
+  double AttachBound(size_t keyword_idx, NodeId r) const;
 
   // Max over x in En(Q) of (bound on transmission r -> x) * dampening(x).
-  double OutsideBound(NodeId r, uint32_t root_ecc) const;
+  double OutsideBound(NodeId r) const;
 
   const TreeScorer* scorer_;
   const Query* query_;
   uint32_t max_diameter_;
   const PairwiseBoundProvider* bounds_;  // nullable
+  double max_dampening_;                 // of the scorer's model
   KeywordMask all_mask_ = 0;
 
   // En(k) with emissions, per keyword index.
   std::vector<std::vector<SourceInfo>> keyword_sources_;
 
+  // Per-root values: they do not depend on the rest of the candidate.
   mutable std::map<NodeId, double> neighbor_damp_cache_;
-  // Only used when bounds_ == nullptr (no distance information, so the
-  // value does not depend on the candidate).
   mutable std::map<std::pair<size_t, NodeId>, double> attach_cache_;
   mutable std::map<NodeId, double> outside_cache_;
   mutable int64_t calls_ = 0;

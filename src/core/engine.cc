@@ -1,6 +1,5 @@
 #include "core/engine.h"
 
-#include <atomic>
 #include <utility>
 
 #include "core/parallel_search.h"
@@ -24,9 +23,9 @@ constexpr ResultCache::MetricNames kQueryCacheMetrics = {
 
 }  // namespace
 
-// Mutable serving-time state, split from the immutable model so the engine
-// can stay const-correct: Search() is const yet touches the cache, and
-// feedback accumulates across calls.
+// Mutable serving-time state, split from the immutable graph and index so
+// the engine can stay const-correct: Search() is const yet touches the
+// cache, and feedback and rebuilds accumulate across calls.
 struct CiRankEngine::Serving {
   Serving(size_t num_nodes, const QueryCacheOptions& cache_options,
           obs::MetricsRegistry* metrics)
@@ -79,28 +78,16 @@ struct CiRankEngine::Serving {
 
   Obs obs;
 
-  // Every search reads the model between EnterSearch() and ExitSearch();
-  // RebuildFromFeedback swaps it only while no search is in between. The
-  // two sides form a Dekker handshake over `active_searches` and
-  // `swapping`: each writes its own word before reading the other's, all
-  // seq_cst, so a search either sees the swap coming and waits it out on
-  // `swap_mu`, or is seen by the rebuild, which then fails. This is a guard
-  // rail against API misuse, not a lock: the caller owns quiescence.
-  void EnterSearch() {
-    for (;;) {
-      active_searches.fetch_add(1, std::memory_order_seq_cst);
-      if (!swapping.load(std::memory_order_seq_cst)) return;
-      active_searches.fetch_sub(1, std::memory_order_seq_cst);
-      MutexLock wait(swap_mu);  // held for the whole swap
-    }
-  }
-  void ExitSearch() {
-    active_searches.fetch_sub(1, std::memory_order_seq_cst);
+  // The epoch is assigned under the lock, so it only grows.
+  void Publish(std::shared_ptr<Snapshot> next) {
+    MutexLock lk(snapshot_mu);
+    next->epoch = snapshot != nullptr ? snapshot->epoch + 1 : 0;
+    snapshot = std::move(next);
   }
 
-  std::atomic<int64_t> active_searches{0};
-  std::atomic<bool> swapping{false};
-  Mutex swap_mu;  // leaf: nothing is acquired under it
+  // Leaf: nothing is acquired under it. mutable: Pin() is const.
+  mutable Mutex snapshot_mu;
+  std::shared_ptr<const Snapshot> snapshot CIRANK_GUARDED_BY(snapshot_mu);
 };
 
 CiRankEngine::CiRankEngine() = default;
@@ -133,11 +120,10 @@ Result<CiRankEngine> CiRankEngine::Build(const Graph& graph,
   CIRANK_ASSIGN_OR_RETURN(
       RwmpModel model,
       RwmpModel::Create(graph, std::move(pr.scores), options.rwmp));
-  engine.model_ = std::make_unique<RwmpModel>(std::move(model));
-  engine.scorer_ =
-      std::make_unique<TreeScorer>(*engine.model_, *engine.index_);
   engine.serving_ = std::make_unique<Serving>(graph.num_nodes(), options.cache,
                                               engine.metrics_);
+  engine.serving_->Publish(
+      std::make_shared<Snapshot>(std::move(model), *engine.index_));
 
   if (engine.metrics_ != nullptr) {
     obs::MetricsRegistry& m = *engine.metrics_;
@@ -169,19 +155,30 @@ Result<std::vector<RankedAnswer>> CiRankEngine::Search(
 Result<std::vector<RankedAnswer>> CiRankEngine::Search(
     const Query& query, const SearchOptions& options, SearchStats* stats,
     uint64_t trace_id) const {
-  if (serving_->obs.queries != nullptr) serving_->obs.queries->Increment();
-  return ExecuteUncached(query, options, stats, trace_id);
+  return Pin().Search(query, options, stats, trace_id);
+}
+
+CiRankEngine::PinnedModel CiRankEngine::Pin() const {
+  MutexLock lk(serving_->snapshot_mu);
+  return PinnedModel(this, serving_->snapshot);
+}
+
+Result<std::vector<RankedAnswer>> CiRankEngine::PinnedModel::Search(
+    const Query& query, const SearchOptions& options, SearchStats* stats,
+    uint64_t trace_id) const {
+  const Serving::Obs& obs = engine_->serving_->obs;
+  if (obs.queries != nullptr) obs.queries->Increment();
+  return engine_->ExecuteUncached(*this, query, options, stats, trace_id);
 }
 
 Result<std::vector<RankedAnswer>> CiRankEngine::ExecuteUncached(
-    const Query& query, const SearchOptions& options, SearchStats* stats,
-    uint64_t trace_id) const {
-  serving_->EnterSearch();
+    const PinnedModel& pinned, const Query& query,
+    const SearchOptions& options, SearchStats* stats, uint64_t trace_id) const {
   // Dispatch through the executor registry: options.executor picks the
   // SearchExecutor ("bnb" by default), and the execution pipeline applies
   // the deadline/budget guard and stage accounting uniformly.
-  ExecutorEnv env{scorer_.get(), &query,        options,
-                  metrics_,      options_.trace, trace_id};
+  ExecutorEnv env{&pinned.snapshot_->scorer, &query, options, metrics_,
+                  options_.trace, trace_id};
   // A local stats block keeps the truncation counter honest even when the
   // caller passed nullptr.
   SearchStats local;
@@ -189,7 +186,6 @@ Result<std::vector<RankedAnswer>> CiRankEngine::ExecuteUncached(
   Timer timer;
   auto result = ExecuteSearch(env, st);
   const double elapsed = timer.ElapsedSeconds();
-  serving_->ExitSearch();
 
   const Serving::Obs& obs = serving_->obs;
   if (obs.query_seconds != nullptr) obs.query_seconds->Observe(elapsed);
@@ -212,11 +208,12 @@ Result<std::vector<RankedAnswer>> CiRankEngine::CachedSearch(
     const Query& query, const SearchOptions& options, ResultCache::Path path,
     SearchStats* stats) const {
   if (serving_->obs.queries != nullptr) serving_->obs.queries->Increment();
+  const PinnedModel pinned = Pin();
   ResultCache::Probe probe =
-      serving_->cache.Lookup(query, options, path, stats);
+      serving_->cache.Lookup(query, options, pinned.epoch(), path, stats);
   if (probe.hit != nullptr) return *probe.hit;
   CIRANK_ASSIGN_OR_RETURN(std::vector<RankedAnswer> answers,
-                          ExecuteUncached(query, options, stats));
+                          ExecuteUncached(pinned, query, options, stats));
   serving_->cache.Store(std::move(probe), answers);
   return answers;
 }
@@ -299,10 +296,6 @@ double CiRankEngine::FeedbackClicks(NodeId v) const {
 }
 
 Status CiRankEngine::RebuildFromFeedback(const FeedbackOptions& options) {
-  if (serving_->active_searches.load(std::memory_order_acquire) != 0) {
-    return Status::FailedPrecondition(
-        "RebuildFromFeedback requires quiesced search traffic");
-  }
   std::vector<double> teleport;
   {
     MutexLock lk(serving_->feedback_mu);
@@ -323,19 +316,7 @@ Status CiRankEngine::RebuildFromFeedback(const FeedbackOptions& options) {
   CIRANK_ASSIGN_OR_RETURN(
       RwmpModel model,
       RwmpModel::Create(*graph_, std::move(pr.scores), options_.rwmp));
-  {
-    MutexLock lk(serving_->swap_mu);
-    serving_->swapping.store(true, std::memory_order_seq_cst);
-    if (serving_->active_searches.load(std::memory_order_seq_cst) != 0) {
-      serving_->swapping.store(false, std::memory_order_seq_cst);
-      return Status::FailedPrecondition(
-          "RebuildFromFeedback requires quiesced search traffic");
-    }
-    // Assign into the existing object: scorer_ holds a reference to
-    // *model_, which stays valid across the swap.
-    *model_ = std::move(model);
-    serving_->swapping.store(false, std::memory_order_seq_cst);
-  }
+  serving_->Publish(std::make_shared<Snapshot>(std::move(model), *index_));
   serving_->cache.Invalidate();
   return Status::OK();
 }

@@ -10,11 +10,11 @@
 //   auto answers = engine->Search(Query::MustParse("papakonstantinou ullman"));
 //   auto batch = engine->SearchBatch(queries, {.num_threads = 8});
 //
-// Thread-safety: after Build, Search / SearchBatch / RecordFeedback /
-// RecordClick may be called concurrently from any number of threads.
-// RebuildFromFeedback mutates the model in place and requires the caller to
-// quiesce search traffic first (it fails rather than race when it can see
-// searches in flight).
+// Thread-safety: after Build, every method may be called concurrently from
+// any number of threads, RebuildFromFeedback included: a search pins the
+// immutable snapshot of the state feedback changes (RWMP model, scorer,
+// epoch) and runs on it to the end, while a rebuild publishes the next one
+// and cached results are keyed by epoch (DESIGN.md §9).
 #ifndef CIRANK_CORE_ENGINE_H_
 #define CIRANK_CORE_ENGINE_H_
 
@@ -64,8 +64,44 @@ struct CiRankOptions {
 };
 
 class CiRankEngine {
+  // The state feedback changes, immutable once published. Never copied: the
+  // scorer points at the model.
+  struct Snapshot {
+    Snapshot(RwmpModel m, const InvertedIndex& index)
+        : model(std::move(m)), scorer(model, index) {}
+    Snapshot(const Snapshot&) = delete;
+    const RwmpModel model;
+    const TreeScorer scorer;
+    uint64_t epoch = 0;  // assigned at publish time
+  };
+
  public:
   class Builder;  // fluent construction surface; definition below
+
+  // One published model snapshot, pinned: the model and scorer it searches
+  // stay unchanged while the handle lives, whatever rebuilds publish. Cheap
+  // to copy; must not outlive the engine. shard::ShardedEngine runs every
+  // sub-search of a query on one, so a merged list never mixes two models.
+  class PinnedModel {
+   public:
+    // Grows with every publish; result caches key entries by it.
+    uint64_t epoch() const { return snapshot_->epoch; }
+
+    // Top-k search on this snapshot with explicit per-call options
+    // replacing every engine default (never cached: the caller owns the
+    // exact configuration). `trace_id` optionally stamps the query's spans
+    // with a request correlation id (DESIGN.md §14). Never affects ranking.
+    [[nodiscard]] Result<std::vector<RankedAnswer>> Search(
+        const Query& query, const SearchOptions& options,
+        SearchStats* stats = nullptr, uint64_t trace_id = 0) const;
+
+   private:
+    friend class CiRankEngine;
+    PinnedModel(const CiRankEngine* e, std::shared_ptr<const Snapshot> s)
+        : engine_(e), snapshot_(std::move(s)) {}
+    const CiRankEngine* engine_;
+    std::shared_ptr<const Snapshot> snapshot_;
+  };
 
   // Builds the index, runs PageRank, and derives the RWMP model. `graph`
   // must outlive the engine.
@@ -89,12 +125,7 @@ class CiRankEngine {
   [[nodiscard]] Result<std::vector<RankedAnswer>> Search(const Query& query,
                                            SearchStats* stats = nullptr) const;
 
-  // Top-k search with explicit per-call options replacing every engine
-  // default (never cached: the caller owns the exact configuration).
-  // `trace_id` optionally stamps the query's spans with a request
-  // correlation id (DESIGN.md §14) — the sharded serving layer threads the
-  // request id into each per-shard sub-search through it. Never affects
-  // ranking.
+  // Pin().Search(...): explicit options on the current model snapshot.
   [[nodiscard]] Result<std::vector<RankedAnswer>> Search(const Query& query,
                                            const SearchOptions& options,
                                            SearchStats* stats = nullptr,
@@ -133,10 +164,10 @@ class CiRankEngine {
   [[nodiscard]] Status RecordClick(NodeId v, double weight = 1.0);
 
   // Recomputes PageRank with the feedback-personalized teleport vector and
-  // swaps the RWMP model in place (the scorer keeps pointing at it).
-  // Requires exclusive access: fails with FailedPrecondition when searches
-  // are in flight before the PageRank run or at the swap (a search starting
-  // during the swap waits for it). Clears the query cache.
+  // publishes the new RWMP model and scorer, built on the side, as the next
+  // snapshot. Safe under live traffic: searches in flight finish on the
+  // snapshot they pinned, and once this returns no list cached from an
+  // older epoch is served. Also flushes the query cache.
   [[nodiscard]] Status RebuildFromFeedback(const FeedbackOptions& options = {});
 
   // Accumulated click mass of `v` (thread-safe snapshot).
@@ -144,28 +175,32 @@ class CiRankEngine {
 
   QueryCacheStats cache_stats() const;
 
-  // Scores one externally assembled answer tree (e.g. for re-ranking or the
-  // example programs).
-  TreeScore ScoreTree(const Jtt& tree, const Query& query) const {
-    return scorer_->Score(tree, query);
-  }
+  // Pins the current snapshot: one shared_ptr copy under a leaf lock.
+  PinnedModel Pin() const;
 
+  // ScoreTree scores one externally assembled answer tree (e.g. for
+  // re-ranking or the example programs); it, model() and scorer() read the
+  // current snapshot. A returned reference stays valid until the next
+  // rebuild publishes (the engine holds the current snapshot until then).
+  TreeScore ScoreTree(const Jtt& tree, const Query& query) const {
+    return Pin().snapshot_->scorer.Score(tree, query);
+  }
+  const RwmpModel& model() const { return Pin().snapshot_->model; }
+  const TreeScorer& scorer() const { return Pin().snapshot_->scorer; }
   const Graph& graph() const { return *graph_; }
   const InvertedIndex& index() const { return *index_; }
-  const RwmpModel& model() const { return *model_; }
-  const TreeScorer& scorer() const { return *scorer_; }
   const CiRankOptions& options() const { return options_; }
   // The resolved metrics sink this engine records into; nullptr when the
   // engine was built with metrics_enabled = false.
   obs::MetricsRegistry* metrics() const { return metrics_; }
 
  private:
-  struct Serving;  // cache + feedback state (definition in engine.cc)
+  struct Serving;  // snapshot, cache + feedback state (engine.cc)
 
   CiRankEngine();
 
-  // Lookup → ExecuteUncached → store over fully resolved options; `path`
-  // selects the result-cache contract (core/result_cache.h).
+  // Pin → lookup → ExecuteUncached → store over fully resolved options;
+  // `path` selects the result-cache contract (core/result_cache.h).
   Result<std::vector<RankedAnswer>> CachedSearch(const Query& query,
                                                  const SearchOptions& options,
                                                  ResultCache::Path path,
@@ -176,7 +211,8 @@ class CiRankEngine {
   // folds latency/error/truncation counters. Does NOT count
   // cirank_engine_queries_total — the public entry points own that.
   Result<std::vector<RankedAnswer>> ExecuteUncached(
-      const Query& query, const SearchOptions& options, SearchStats* stats,
+      const PinnedModel& pinned, const Query& query,
+      const SearchOptions& options, SearchStats* stats,
       uint64_t trace_id = 0) const;
 
   const Graph* graph_ = nullptr;
@@ -184,8 +220,6 @@ class CiRankEngine {
   obs::MetricsRegistry* metrics_ = nullptr;  // resolved; null = disabled
   // unique_ptr members keep internal cross-pointers stable under moves.
   std::unique_ptr<InvertedIndex> index_;
-  std::unique_ptr<RwmpModel> model_;
-  std::unique_ptr<TreeScorer> scorer_;
   std::unique_ptr<Serving> serving_;
 };
 

@@ -194,16 +194,6 @@ uint32_t Jtt::Diameter() const {
   return best;
 }
 
-uint32_t Jtt::EccentricityOf(NodeId v) const {
-  const size_t i = IndexOf(v);
-  if (i == nodes_.size()) return 0;
-  std::vector<uint32_t> dist;
-  DistancesFrom(i, &dist);
-  uint32_t best = 0;
-  for (uint32_t d : dist) best = std::max(best, d);
-  return best;
-}
-
 std::vector<NodeId> Jtt::PathBetween(NodeId a, NodeId b) const {
   std::vector<NodeId> path;
   const size_t ai = IndexOf(a);

@@ -66,9 +66,6 @@ class Jtt {
   // Longest path length (in edges) between any two tree nodes.
   uint32_t Diameter() const;
 
-  // Longest path length (in edges) from v to any tree node.
-  uint32_t EccentricityOf(NodeId v) const;
-
   // Unique nodes on the undirected tree path from `a` to `b`, inclusive.
   std::vector<NodeId> PathBetween(NodeId a, NodeId b) const;
 

@@ -7,10 +7,10 @@ namespace cirank {
 
 namespace {
 
-// The cache key must pin down everything the result depends on besides the
-// model itself: normalized keywords plus the full search configuration.
-// Model changes are handled by invalidation, not by the key.
-std::string CacheKey(const Query& query, const SearchOptions& options) {
+// The cache key must pin down everything the result depends on: normalized
+// keywords, the full search configuration, and the model snapshot's epoch.
+std::string CacheKey(const Query& query, const SearchOptions& options,
+                     uint64_t epoch) {
   std::ostringstream key;
   for (const std::string& k : query.keywords) key << k << ' ';
   key << "|k=" << options.k << "|d=" << options.max_diameter
@@ -20,10 +20,11 @@ std::string CacheKey(const Query& query, const SearchOptions& options) {
       << "|r=" << options.ranker << "|o=" << options.order_by
       << "|w=" << options.composite_rwmp_weight << ','
       << options.composite_text_weight
-      // Defensive: shard-scoped sub-searches go through the engine's
-      // explicit-options Search (never cached), but if one ever reached a
-      // cache its scope mask must not alias an unsharded entry.
-      << "|h=" << static_cast<const void*>(options.shard_hooks);
+      // Defensive: shard-scoped sub-searches run uncached through
+      // CiRankEngine::PinnedModel::Search, but if one ever reached a cache
+      // its scope mask must not alias an unsharded entry.
+      << "|h=" << static_cast<const void*>(options.shard_hooks)
+      << "|m=" << epoch;
   return std::move(key).str();
 }
 
@@ -44,7 +45,8 @@ ResultCache::ResultCache(const QueryCacheOptions& options,
 }
 
 ResultCache::Probe ResultCache::Lookup(const Query& query,
-                                       const SearchOptions& options, Path path,
+                                       const SearchOptions& options,
+                                       uint64_t epoch, Path path,
                                        SearchStats* stats) {
   Probe probe;
   // Deadline- and budget-limited queries are never cached: what they return
@@ -54,7 +56,7 @@ ResultCache::Probe ResultCache::Lookup(const Query& query,
                          options.deadline_ms <= 0.0 &&
                          options.candidate_budget <= 0;
   if (!cacheable) return probe;
-  probe.key = CacheKey(query, options);
+  probe.key = CacheKey(query, options, epoch);
   if (stats != nullptr && path == Path::kDirect) return probe;
   if (auto hit = lru_.Get(*probe.key); hit.has_value()) {
     if (hits_ != nullptr) hits_->Increment();

@@ -3,15 +3,16 @@
 // PageRank, so serving memoizes whole top-k lists. CiRankEngine (single-
 // engine results) and shard::ShardedEngine (merged scatter-gather results)
 // each own one instance; the policy lives here once:
-//   * the key: normalized keywords plus every SearchOptions field the answers
-//     depend on (model changes are handled by invalidation, not the key);
+//   * the key: normalized keywords, every SearchOptions field the answers
+//     depend on, and the epoch of the model snapshot they were computed on;
 //   * cacheability: deadline- or budget-limited queries are never cached (a
 //     truncated result is time-dependent), and a caller may force a bypass;
 //   * the hit contract (see Path);
 //   * invalidation, the hit/miss/invalidation counters and entry gauges.
 // Callers follow lookup → compute → store:
 //
-//   ResultCache::Probe probe = cache.Lookup(query, options, path, stats);
+//   ResultCache::Probe probe =
+//       cache.Lookup(query, options, pinned.epoch(), path, stats);
 //   if (probe.hit != nullptr) return *probe.hit;
 //   CIRANK_ASSIGN_OR_RETURN(std::vector<RankedAnswer> answers, Compute());
 //   cache.Store(std::move(probe), answers);
@@ -87,11 +88,12 @@ class ResultCache {
     std::optional<std::string> key;
   };
 
-  // The lookup half. On a hit, a non-null `stats` is filled per the hit
-  // contract. A hit or miss is counted only when a lookup actually
-  // happened, so the registry counters track the LRU's own exactly.
-  Probe Lookup(const Query& query, const SearchOptions& options, Path path,
-               SearchStats* stats);
+  // The lookup half, for a search pinned to the snapshot of `epoch`. On a
+  // hit, a non-null `stats` is filled per the hit contract. A hit or miss is
+  // counted only when a lookup actually happened, so the registry counters
+  // track the LRU's own exactly.
+  Probe Lookup(const Query& query, const SearchOptions& options,
+               uint64_t epoch, Path path, SearchStats* stats);
 
   // The store half: memoizes `answers` under the probe's key (a no-op when
   // Lookup declined to cache the call).

@@ -1,14 +1,13 @@
 #include "index/star_index.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace cirank {
 
 namespace {
 constexpr uint8_t kFar = 255;
 // Degree product beyond which the exact Case-3 double loop is skipped in
-// favor of the closed-form distance bound.
+// favor of a cheap bound.
 constexpr size_t kCase3DegreeCap = 4096;
 }  // namespace
 
@@ -21,8 +20,6 @@ Result<StarIndex> StarIndex::Build(const Graph& graph, const RwmpModel& model,
 
   StarIndex index;
   index.graph_ = &graph;
-  index.max_dampening_ = model.max_dampening();
-  index.max_distance_ = options.max_distance;
   index.star_tables_ = graph.schema().FindStarTables();
 
   std::vector<bool> is_star_table(graph.schema().num_relations(), false);
@@ -80,17 +77,11 @@ uint32_t StarIndex::StarDistance(int32_t from_ord, int32_t to_ord) const {
 
 double StarIndex::StarTransmission(int32_t from_ord, int32_t to_ord) const {
   if (from_ord == to_ord) return 1.0;
-  if (!trans_.empty()) {
-    // Nudge up to stay admissible after the double->float narrowing.
-    return std::min(
-        1.0, static_cast<double>(trans_[static_cast<size_t>(from_ord) * s_ +
-                                        static_cast<size_t>(to_ord)]) *
-                 (1.0 + 1e-6));
-  }
-  const uint32_t ds = StarDistance(from_ord, to_ord);
-  if (ds == kUnreachable) return 0.0;
-  if (ds <= 1) return 1.0;
-  return std::pow(max_dampening_, static_cast<double>(ds - 1));
+  // Nudge up to stay admissible after the double->float narrowing.
+  return std::min(
+      1.0, static_cast<double>(trans_[static_cast<size_t>(from_ord) * s_ +
+                                      static_cast<size_t>(to_ord)]) *
+               (1.0 + 1e-6));
 }
 
 uint32_t StarIndex::DistanceLowerBound(NodeId from, NodeId to) const {
@@ -148,17 +139,10 @@ uint32_t StarIndex::DistanceLowerBound(NodeId from, NodeId to) const {
 }
 
 double StarIndex::TransmissionBound(NodeId from, NodeId to) const {
-  if (from == to) return 1.0;
+  // Outside exact mode only distances are stored; the search applies the
+  // closed form over them (star_index.h).
+  if (trans_.empty() || from == to) return 1.0;
   if (graph_->has_edge(from, to)) return 1.0;  // direct edge has no interior
-
-  if (trans_.empty()) {
-    // Closed form: a path of length L >= DS has L-1 >= DS-1 interior nodes,
-    // each retaining at most d_max of the mass.
-    const uint32_t ds = DistanceLowerBound(from, to);
-    if (ds == kUnreachable) return 0.0;
-    if (ds <= 1) return 1.0;
-    return std::pow(max_dampening_, static_cast<double>(ds - 1));
-  }
 
   const int32_t fo = star_ordinal_[from];
   const int32_t to_ord = star_ordinal_[to];
@@ -192,10 +176,7 @@ double StarIndex::TransmissionBound(NodeId from, NodeId to) const {
   const auto from_edges = graph_->out_edges(from);
   const auto to_edges = graph_->out_edges(to);
   if (from_edges.size() * to_edges.size() > kCase3DegreeCap) {
-    const uint32_t ds = DistanceLowerBound(from, to);
-    if (ds == kUnreachable) return 0.0;
-    if (ds <= 1) return 1.0;
-    return std::pow(max_dampening_, static_cast<double>(ds - 1));
+    return 1.0;  // the search's closed form over the distance applies
   }
   double best = 0.0;
   for (const Edge& ef : from_edges) {

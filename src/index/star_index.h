@@ -27,11 +27,12 @@ struct StarIndexOptions {
   // Refuse to build beyond this many star nodes (quadratic memory).
   size_t max_star_nodes = 20000;
   // When true, run an exact max-product Dijkstra per star node to store
-  // per-pair transmission bounds (slow, small graphs only). When false, the
-  // transmission bound is derived from the stored distance as
-  // d_max^(DS - 1), where d_max is the graph's largest dampening rate: any
-  // path of length L has L-1 interior nodes, each shedding at least
-  // (1 - d_max) of the mass, so the closed form remains admissible.
+  // per-pair transmission bounds for `model` (slow, small graphs only).
+  // When false, the index stores distances only and TransmissionBound is
+  // the trivial 1.0: the search derives the closed form d_max^(DS - 1)
+  // from DistanceLowerBound itself, with d_max the largest dampening of
+  // the model it is searching (UpperBoundCalculator, core/bounds.h), so the
+  // bound stays admissible after a feedback rebuild.
   bool exact_transmission = false;
 };
 
@@ -67,8 +68,6 @@ class StarIndex : public PairwiseBoundProvider {
   std::vector<uint8_t> dist_;     // row-major s*s; 255 = unreachable/far
   std::vector<float> trans_;      // row-major s*s; empty unless exact mode
   std::vector<double> dampening_; // per-node copy; only kept in exact mode
-  double max_dampening_ = 1.0;
-  uint32_t max_distance_ = 0;
 };
 
 }  // namespace cirank

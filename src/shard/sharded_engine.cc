@@ -207,10 +207,12 @@ Result<std::vector<RankedAnswer>> ShardedEngine::CachedScatterGather(
     uint64_t trace_id) const {
   Impl& im = *impl_;
   if (im.obs.queries != nullptr) im.obs.queries->Increment();
-  ResultCache::Probe probe = im.cache.Lookup(query, merged, path, stats);
+  const CiRankEngine::PinnedModel pinned = im.engine->Pin();
+  ResultCache::Probe probe =
+      im.cache.Lookup(query, merged, pinned.epoch(), path, stats);
   if (probe.hit != nullptr) return *probe.hit;
   Timer timer;
-  auto result = ScatterGather(query, merged, stats, shard_stats,
+  auto result = ScatterGather(pinned, query, merged, stats, shard_stats,
                               shard_parallelism, trace_id);
   if (im.obs.query_seconds != nullptr) {
     im.obs.query_seconds->Observe(timer.ElapsedSeconds());
@@ -220,7 +222,8 @@ Result<std::vector<RankedAnswer>> ShardedEngine::CachedScatterGather(
 }
 
 Result<std::vector<RankedAnswer>> ShardedEngine::ScatterGather(
-    const Query& query, const SearchOptions& merged, SearchStats* stats,
+    const CiRankEngine::PinnedModel& pinned, const Query& query,
+    const SearchOptions& merged, SearchStats* stats,
     ShardedSearchStats* shard_stats, int shard_parallelism,
     uint64_t trace_id) const {
   Impl& im = *impl_;
@@ -233,7 +236,7 @@ Result<std::vector<RankedAnswer>> ShardedEngine::ScatterGather(
   if (n == 1) {
     SearchStats local;
     SearchStats* st = stats != nullptr ? stats : &local;
-    auto result = im.engine->Search(query, merged, st, trace_id);
+    auto result = pinned.Search(query, merged, st, trace_id);
     if (im.obs.searches.size() == 1 && im.obs.searches[0] != nullptr) {
       im.obs.searches[0]->Increment();
     }
@@ -285,7 +288,7 @@ Result<std::vector<RankedAnswer>> ShardedEngine::ScatterGather(
     ThreadPool pool(width);
     pool.ParallelFor(n, [&](size_t s) {
       results[s] =
-          im.engine->Search(query, shard_options[s], &per_shard[s], trace_id);
+          pinned.Search(query, shard_options[s], &per_shard[s], trace_id);
     });
   }
 
@@ -307,7 +310,7 @@ Result<std::vector<RankedAnswer>> ShardedEngine::ScatterGather(
   // key, order by (score desc, canonical key asc), truncate to k — so the
   // merged list is byte-identical to the single-graph result, tie-breaks
   // included. Shard order is irrelevant: duplicates carry identical trees
-  // and bit-identical scores (one shared scorer/model).
+  // and bit-identical scores (one pinned scorer/model).
   TopKAnswers merged_topk(static_cast<size_t>(std::max(1, merged.k)));
   for (uint32_t s = 0; s < n; ++s) {
     for (RankedAnswer& a : results[s].value()) {

@@ -108,9 +108,9 @@ struct ShardedSearchStats {
 
 // The sharded facade over one engine. Attach() builds the plan; Search
 // mirrors CiRankEngine's signatures and ServingSearch is what cirankd
-// serves `/search` through. Thread-safe for concurrent searches; feedback
-// must be routed through this object (not the raw engine) so both result
-// caches are invalidated together.
+// serves `/search` through. Thread-safe, rebuilds included: each query pins
+// one engine snapshot for its lookup and every sub-search, and merged lists
+// are keyed by its epoch, so a rebuild through either object retires them.
 class ShardedEngine {
  public:
   // `engine` must outlive the ShardedEngine. Non-const: feedback forwarding
@@ -149,8 +149,8 @@ class ShardedEngine {
       int shard_parallelism = 0) const;
 
   // --- Feedback forwarding -----------------------------------------------
-  // Same contracts as CiRankEngine; additionally clear this object's
-  // merged-result cache, which the raw engine cannot see.
+  // Same contracts as CiRankEngine; additionally flush this object's
+  // merged-result cache.
   [[nodiscard]] Status RecordFeedback(const std::vector<NodeId>& matched_nodes,
                                       const std::vector<NodeId>& connector_nodes,
                                       double weight = 1.0);
@@ -168,14 +168,16 @@ class ShardedEngine {
   struct Impl;
   ShardedEngine();
 
-  // Lookup → ScatterGather → store (core/result_cache.h).
+  // Pin → lookup → ScatterGather → store (core/result_cache.h).
   Result<std::vector<RankedAnswer>> CachedScatterGather(
       const Query& query, const SearchOptions& merged, ResultCache::Path path,
       SearchStats* stats, ShardedSearchStats* shard_stats,
       int shard_parallelism, uint64_t trace_id) const;
 
+  // Every sub-search, the one-shard passthrough included, runs on `pinned`.
   Result<std::vector<RankedAnswer>> ScatterGather(
-      const Query& query, const SearchOptions& merged, SearchStats* stats,
+      const CiRankEngine::PinnedModel& pinned, const Query& query,
+      const SearchOptions& merged, SearchStats* stats,
       ShardedSearchStats* shard_stats, int shard_parallelism,
       uint64_t trace_id) const;
 

@@ -20,3 +20,14 @@ int SuppressedLoad() {
   std::atomic<int> a{0};
   return a.load();  // cirank-lint: disable=memory-order
 }
+
+// An explicit seq_cst is rejected too, in both spellings and in fences;
+// mentions in comments (memory_order_seq_cst) and strings are not code.
+int SequentiallyConsistent() {
+  std::atomic<int> a{0};
+  a.store(1, std::memory_order_seq_cst);            // flagged
+  std::atomic_thread_fence(std::memory_order_seq_cst);  // flagged
+  const char* doc = "std::memory_order_seq_cst";    // ok
+  (void)doc;
+  return a.load(std::memory_order::seq_cst);        // flagged
+}

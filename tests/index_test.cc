@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/engine.h"
 #include "core/naive_search.h"
 #include "datasets/dblp_gen.h"
 #include "datasets/imdb_gen.h"
@@ -128,9 +129,18 @@ TEST_F(StarIndexTest, TransmissionIsAlwaysUpperBound) {
   }
 }
 
+// Outside exact mode the star index stores distances only; the closed form
+// over them lives in the search's UpperBoundCalculator, under the model the
+// search runs on. A diameter limit at the index's distance horizon makes
+// the calculator bound every pair the index can place.
 TEST_F(StarIndexTest, ClosedFormTransmissionIsUpperBound) {
   auto index = StarIndex::Build(dataset_->graph, *model_);  // no exact mode
   ASSERT_TRUE(index.ok());
+  InvertedIndex inv(dataset_->graph);
+  TreeScorer scorer(*model_, inv);
+  const Query q = Query::MustParse("james");
+  UpperBoundCalculator calc(scorer, q, StarIndexOptions().max_distance,
+                            &index.value());
   std::vector<double> best;
   Rng rng(7);
   for (int trial = 0; trial < 20; ++trial) {
@@ -139,9 +149,53 @@ TEST_F(StarIndexTest, ClosedFormTransmissionIsUpperBound) {
                            kUnreachable, &best);
     for (NodeId v = 0; v < dataset_->graph.num_nodes(); ++v) {
       if (v == s) continue;
-      EXPECT_GE(index->TransmissionBound(s, v), best[v] - 1e-9);
+      EXPECT_GE(calc.IndexTransmissionBound(s, v), best[v] - 1e-9);
     }
   }
+}
+
+// Heavy clicks and one rebuild raise the model's largest dampening above
+// the one the star index was built from. The bound the search applies must
+// follow the rebuilt model: for every pair within the diameter limit it
+// dominates the true max-product transmission under that model.
+TEST_F(StarIndexTest, ClosedFormTransmissionFollowsTheRebuiltModel) {
+  auto built = CiRankEngine::Builder(dataset_->graph).Build();
+  ASSERT_TRUE(built.ok());
+  CiRankEngine engine = std::move(built).value();
+  auto index = StarIndex::Build(dataset_->graph, engine.model());
+  ASSERT_TRUE(index.ok());
+  const double built_max_dampening = engine.model().max_dampening();
+
+  const size_t n = dataset_->graph.num_nodes();
+  Rng clicks(11);
+  for (int i = 0; i < 300; ++i) {
+    const NodeId v = static_cast<NodeId>(clicks.NextUint(n / 4));
+    ASSERT_TRUE(engine.RecordClick(v, 1.0 + (i % 7)).ok());
+  }
+  ASSERT_TRUE(engine.RebuildFromFeedback().ok());
+  const RwmpModel& rebuilt = engine.model();
+  ASSERT_GT(rebuilt.max_dampening(), built_max_dampening);
+
+  const uint32_t d = engine.options().search.max_diameter;
+  UpperBoundCalculator calc(engine.scorer(), Query::MustParse("james"), d,
+                            &index.value());
+  std::vector<uint32_t> dist;
+  std::vector<double> best;
+  Rng rng(12);
+  int checked = 0;
+  for (int trial = 0; trial < 20; ++trial) {
+    const NodeId s = static_cast<NodeId>(rng.NextUint(n));
+    BfsDistances(dataset_->graph, s, d, &dist);
+    MaxProductReachability(dataset_->graph, s, rebuilt.dampening_vector(),
+                           kUnreachable, &best);
+    for (NodeId v = 0; v < n; ++v) {
+      if (v == s || dist[v] == kUnreachable) continue;
+      ++checked;
+      EXPECT_GE(calc.IndexTransmissionBound(s, v), best[v] - 1e-9)
+          << "pair " << s << "->" << v << " at distance " << dist[v];
+    }
+  }
+  EXPECT_GT(checked, 0);
 }
 
 // The central index property: branch-and-bound results must be identical

@@ -1,7 +1,7 @@
 // Unit tests for the result-cache policy (core/result_cache.h) that both
 // CiRankEngine and shard::ShardedEngine memoize top-k lists through: the
-// cacheability rule, the per-path hit contract, the key, invalidation, and
-// the counters and gauges.
+// cacheability rule, the per-path hit contract, the key (model epoch
+// included), invalidation, and the counters and gauges.
 #include "core/result_cache.h"
 
 #include <string>
@@ -33,8 +33,8 @@ std::vector<RankedAnswer> Answers() {
 // Looks up and, on a miss, stores Answers(); returns whether it hit.
 bool LookupOrStore(ResultCache& cache, const Query& query,
                    const SearchOptions& options, ResultCache::Path path,
-                   SearchStats* stats = nullptr) {
-  ResultCache::Probe probe = cache.Lookup(query, options, path, stats);
+                   SearchStats* stats = nullptr, uint64_t epoch = 0) {
+  ResultCache::Probe probe = cache.Lookup(query, options, epoch, path, stats);
   if (probe.hit != nullptr) return true;
   cache.Store(std::move(probe), Answers());
   return false;
@@ -47,13 +47,15 @@ TEST(ResultCacheTest, MissStoreHitWithCountersInLockstep) {
   const SearchOptions options;
 
   ResultCache::Probe miss =
-      cache.Lookup(q, options, ResultCache::Path::kDirect, nullptr);
+      cache.Lookup(q, options, /*epoch=*/0, ResultCache::Path::kDirect,
+                   nullptr);
   EXPECT_EQ(miss.hit, nullptr);
   ASSERT_TRUE(miss.key.has_value());
   cache.Store(std::move(miss), Answers());
 
   ResultCache::Probe hit =
-      cache.Lookup(q, options, ResultCache::Path::kDirect, nullptr);
+      cache.Lookup(q, options, /*epoch=*/0, ResultCache::Path::kDirect,
+                   nullptr);
   ASSERT_NE(hit.hit, nullptr);
   ASSERT_EQ(hit.hit->size(), 2u);
   EXPECT_EQ((*hit.hit)[0].score, 0.75);
@@ -166,6 +168,24 @@ TEST(ResultCacheTest, KeyCoversKeywordsAndSearchConfiguration) {
   EXPECT_FALSE(LookupOrStore(cache, q, weights, ResultCache::Path::kDirect));
 }
 
+// A list computed on one model snapshot is never served for another, with
+// or without an Invalidate() in between.
+TEST(ResultCacheTest, KeyCoversModelEpoch) {
+  ResultCache cache(Capacity(16), nullptr, kNames);
+  const Query q = Query::MustParse("kw0 kw1");
+  const SearchOptions options;
+  EXPECT_FALSE(LookupOrStore(cache, q, options, ResultCache::Path::kServing,
+                             nullptr, /*epoch=*/0));
+  EXPECT_TRUE(LookupOrStore(cache, q, options, ResultCache::Path::kServing,
+                            nullptr, /*epoch=*/0));
+  EXPECT_FALSE(LookupOrStore(cache, q, options, ResultCache::Path::kServing,
+                             nullptr, /*epoch=*/1))
+      << "an entry of epoch 0 answered a search pinned at epoch 1";
+  EXPECT_TRUE(LookupOrStore(cache, q, options, ResultCache::Path::kServing,
+                            nullptr, /*epoch=*/1));
+  EXPECT_EQ(cache.Stats().entries, 2u);
+}
+
 TEST(ResultCacheTest, InvalidateDropsEntriesAndKeepsGaugesCurrent) {
   obs::MetricsRegistry metrics;
   ResultCache cache(Capacity(16), &metrics, kNames);
@@ -195,8 +215,8 @@ TEST(ResultCacheTest, HitOutlivesAConcurrentInvalidation) {
   const Query q = Query::MustParse("kw2");
   EXPECT_FALSE(
       LookupOrStore(cache, q, SearchOptions(), ResultCache::Path::kDirect));
-  ResultCache::Probe hit =
-      cache.Lookup(q, SearchOptions(), ResultCache::Path::kDirect, nullptr);
+  ResultCache::Probe hit = cache.Lookup(q, SearchOptions(), /*epoch=*/0,
+                                       ResultCache::Path::kDirect, nullptr);
   ASSERT_NE(hit.hit, nullptr);
   cache.Invalidate();
   EXPECT_EQ(hit.hit->size(), 2u) << "the handed-out entry stays valid";

@@ -3,10 +3,10 @@
 // several threads hammer ShardedEngine::Search / ServingSearch at four
 // shards — each query itself fanning sub-searches over a per-query pool and
 // publishing into the shared GatherState — while background threads record
-// feedback through the facade (invalidating the merged-result cache),
-// attempt full model rebuilds, and snapshot the cache counters. Any data
-// race between the gather path, the cache, and feedback is a TSan report
-// and a test failure.
+// feedback through the facade (invalidating the merged-result cache), run
+// full model rebuilds (each must succeed under the traffic), and snapshot
+// the cache counters. Any data race between the gather path, the cache,
+// and feedback is a TSan report and a test failure.
 #include <atomic>
 #include <memory>
 #include <string>
@@ -67,9 +67,9 @@ TEST(ShardStressTest, ShardedSearchRacesFeedbackInvalidation) {
       if (!sharded.RecordFeedback({1, 2}, {3}, 0.5).ok()) {
         feedback_errors.fetch_add(1, std::memory_order_relaxed);
       }
-      // A rebuild legitimately fails with FailedPrecondition while searches
-      // are visibly in flight; only its thread-safety is under test here.
-      CIRANK_IGNORE_ERROR(sharded.RebuildFromFeedback());
+      if (!sharded.RebuildFromFeedback().ok()) {
+        feedback_errors.fetch_add(1, std::memory_order_relaxed);
+      }
     }
   });
   // Observer: counter snapshots concurrent with everything else.

@@ -243,8 +243,7 @@ TEST(ShardedEngineTest, MergedResultCacheHitsAndFeedbackInvalidation) {
   }
 
   // Feedback through the facade reaches the engine AND clears the merged-
-  // result cache (the raw engine cannot see this cache — routing feedback
-  // around the facade is the documented foot-gun).
+  // result cache.
   ASSERT_TRUE(sharded.RecordClick(0).ok());
   EXPECT_GT(sharded.engine().FeedbackClicks(0), 0.0);
   stats = sharded.cache_stats();
@@ -302,6 +301,58 @@ TEST(ShardedEngineTest, ServingSearchMayAnswerStatsRequestsFromCache) {
   EXPECT_EQ(hit_stats.popped, 0) << "a memoized result reports no fresh work";
 }
 
+// The merged-result cache is keyed by the engine's model epoch, so a rebuild
+// through the raw engine — which never flushes the facade's cache — still
+// retires every merged list computed on the old model.
+TEST(ShardedEngineTest, RawEngineRebuildRetiresMergedResults) {
+  Graph graph = MakeRandomGraph(25, 35);
+  QueryCacheOptions cache;
+  cache.capacity = 16;
+  auto built = EngineBuilder()
+                   .WithGraph(&graph)
+                   .WithShards(2)
+                   .WithShardCache(cache)
+                   .Build();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  ShardedEngine& sharded = *built->sharded;
+  CiRankEngine& engine = *built->engine;
+
+  const Query q = Query::MustParse("kw0 kw1");
+  auto first = sharded.Search(q);
+  ASSERT_TRUE(first.ok());
+  ASSERT_GE(first->size(), 2u);
+  ASSERT_TRUE(sharded.Search(q).ok());
+  ASSERT_EQ(sharded.cache_stats().hits, 1u) << "the merged list is cached";
+
+  // Heavy clicks on every node of the last-ranked answer, then a rebuild,
+  // all around the facade.
+  for (NodeId v : first->back().tree.nodes()) {
+    ASSERT_TRUE(engine.RecordClick(v, 50.0).ok());
+  }
+  ASSERT_TRUE(engine.RebuildFromFeedback().ok());
+  EXPECT_EQ(sharded.cache_stats().invalidations, 0u)
+      << "the raw engine cannot flush the facade's cache";
+
+  auto after = sharded.Search(q);
+  ASSERT_TRUE(after.ok());
+  auto fresh = engine.Search(q, engine.options().search);
+  ASSERT_TRUE(fresh.ok());
+  ASSERT_EQ(after->size(), fresh->size());
+  bool differs_from_first = after->size() != first->size();
+  for (size_t i = 0; i < after->size(); ++i) {
+    EXPECT_EQ((*after)[i].score, (*fresh)[i].score) << "rank " << i;
+    EXPECT_EQ((*after)[i].tree.CanonicalKey(), (*fresh)[i].tree.CanonicalKey())
+        << "rank " << i;
+    if (i < first->size() &&
+        ((*after)[i].score != (*first)[i].score ||
+         (*after)[i].tree.CanonicalKey() != (*first)[i].tree.CanonicalKey())) {
+      differs_from_first = true;
+    }
+  }
+  EXPECT_TRUE(differs_from_first)
+      << "the rebuilt model must change this query's answers";
+}
+
 TEST(ShardedEngineTest, RebuildFromFeedbackKeepsShardedAndEngineAligned) {
   Graph graph = MakeRandomGraph(25, 35);
   auto built = EngineBuilder().WithGraph(&graph).WithShards(4).Build();
@@ -312,8 +363,8 @@ TEST(ShardedEngineTest, RebuildFromFeedbackKeepsShardedAndEngineAligned) {
   ASSERT_TRUE(sharded.RecordClick(2, 3.0).ok());
   ASSERT_TRUE(sharded.RebuildFromFeedback().ok());
 
-  // After the in-place model swap the sharded path must still match the
-  // single-engine path byte-for-byte on the rebuilt model.
+  // After the rebuild publishes a new model snapshot the sharded path must
+  // still match the single-engine path byte-for-byte on it.
   const Query q = Query::MustParse("kw0 kw1");
   const SearchOverrides overrides = SearchOverrides().WithK(5);
   SearchStats direct_stats;

@@ -116,6 +116,9 @@ ATOMIC_OP = re.compile(
     r"(?:\.|->)(load|store|exchange|fetch_add|fetch_sub|fetch_and|fetch_or|"
     r"fetch_xor|compare_exchange_weak|compare_exchange_strong)\s*\(")
 
+# An explicitly spelled sequentially consistent order, in either spelling.
+SEQ_CST = re.compile(r"\bmemory_order(?:_|::)seq_cst\b")
+
 # Lock-acquisition sites for the lock-order rule (cirank types only).
 MUTEXLOCK_DECL = re.compile(r"\bMutexLock\s+\w+\s*\(\s*([^()]*)\)")
 MANUAL_LOCK = re.compile(r"([\w.\->\[\]]*(?:\.|->))Lock\s*\(\s*\)")
@@ -341,7 +344,8 @@ def check_raw_output(analysis, src):
 
 @rule("memory-order",
       "every std::atomic load/store/RMW must spell an explicit "
-      "std::memory_order; defaulted seq_cst hides the intended contract")
+      "std::memory_order weaker than seq_cst; seq_cst, defaulted or "
+      "spelled, hides the intended contract")
 def check_memory_order(analysis, src):
     text = src.text
     for m in ATOMIC_OP.finditer(text):
@@ -356,6 +360,11 @@ def check_memory_order(analysis, src):
                       f"std::memory_order argument; spell the ordering "
                       f"(relaxed for counters, acquire/release for "
                       f"handoffs)")
+    for m in SEQ_CST.finditer(text):
+        yield Finding(src.rel, src.line_of(m.start()), "memory-order",
+                      "explicit seq_cst ordering; state the contract with "
+                      "relaxed, acquire/release or acq_rel, or take a "
+                      "cirank::Mutex where a total order is needed")
 
 
 @rule("arena-discipline",
