@@ -293,7 +293,7 @@ void RunIndexFigure(BenchSetup setup, const char* label,
   const CiRankEngine& engine = *setup.engine;
 
   Timer build_timer;
-  auto index = StarIndex::Build(setup.dataset->graph, engine.model());
+  auto index = StarIndex::Build(setup.dataset->graph);
   if (!index.ok()) {
     std::fprintf(stderr, "star index build failed: %s\n",
                  index.status().ToString().c_str());

@@ -25,7 +25,7 @@ struct MicroState {
     auto eng = CiRankEngine::Builder(dataset->graph).Build();
     engine = std::make_unique<CiRankEngine>(std::move(eng).value());
     star_index = std::make_unique<StarIndex>(
-        StarIndex::Build(dataset->graph, engine->model()).value());
+        StarIndex::Build(dataset->graph).value());
 
     // A representative 3-node answer: actor - movie - actor.
     const Graph& g = dataset->graph;
@@ -102,7 +102,6 @@ void BM_StarIndexLookup(benchmark::State& bench_state) {
     NodeId a = static_cast<NodeId>(rng.NextUint(n));
     NodeId b = static_cast<NodeId>(rng.NextUint(n));
     benchmark::DoNotOptimize(s.star_index->DistanceLowerBound(a, b));
-    benchmark::DoNotOptimize(s.star_index->TransmissionBound(a, b));
   }
 }
 BENCHMARK(BM_StarIndexLookup);

@@ -38,7 +38,7 @@ int main() {
   }
 
   Timer build_timer;
-  auto star_index = StarIndex::Build(dataset->graph, engine->model());
+  auto star_index = StarIndex::Build(dataset->graph);
   if (!star_index.ok()) {
     std::fprintf(stderr, "star index build failed\n");
     return 1;

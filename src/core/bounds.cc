@@ -47,10 +47,8 @@ double UpperBoundCalculator::IndexTransmissionBound(NodeId from,
                                                     NodeId to) const {
   if (bounds_ == nullptr) return 1.0;
   const uint32_t ds = bounds_->DistanceLowerBound(from, to);
-  if (ds == kUnreachable || ds > max_diameter_) return 0.0;
-  const double closed_form =
-      ds <= 1 ? 1.0 : std::pow(max_dampening_, static_cast<double>(ds - 1));
-  return std::min(closed_form, bounds_->TransmissionBound(from, to));
+  if (ds > max_diameter_) return 0.0;  // kUnreachable included
+  return ds <= 1 ? 1.0 : std::pow(max_dampening_, static_cast<double>(ds - 1));
 }
 
 double UpperBoundCalculator::NeighborDampening(NodeId r) const {

@@ -25,25 +25,17 @@
 
 namespace cirank {
 
-// Pairwise pre-computed bounds (Sec. V). The default implementation knows
-// nothing and returns the trivially admissible values; the index module
-// provides tighter ones (naive and star indexes).
-// Stored per-pair transmissions (NaiveIndex, exact-mode StarIndex) describe
-// the model the provider was built from, not one RebuildFromFeedback
-// publishes later; no served path uses them. UpperBoundCalculator applies
-// the closed form over distances under the model being searched.
+// Pairwise pre-computed bounds (Sec. V). A provider answers one question,
+// a lower bound on the hop distance DS between two nodes, which the graph
+// alone determines. The paper's indexes also store the per-pair minimal
+// loss LS, but that depends on the RWMP model and goes stale at every
+// feedback rebuild; UpperBoundCalculator derives the transmission bound
+// from DS under the model being searched instead. The default
+// implementation knows nothing; the index module provides tighter bounds
+// (naive and star indexes).
 class PairwiseBoundProvider {
  public:
   virtual ~PairwiseBoundProvider() = default;
-
-  // Upper bound on the product of dampening factors over the interior nodes
-  // of any directed path from `from` to `to` (the complement of the paper's
-  // "minimal loss" LS). Must be >= the true maximum; 1.0 when unknown.
-  virtual double TransmissionBound(NodeId from, NodeId to) const {
-    (void)from;
-    (void)to;
-    return 1.0;
-  }
 
   // Lower bound on the hop distance from `from` to `to`; 0 when unknown and
   // kUnreachable when provably unreachable.
@@ -71,8 +63,8 @@ class UpperBoundCalculator {
   // The index's bound on the max-product transmission from -> to as pruning
   // applies it: d_max^(DS - 1) under the scorer's model, DS being the
   // provider's distance lower bound (a path of L >= DS hops has L - 1
-  // interior nodes, each keeping at most d_max), capped by the provider's
-  // TransmissionBound. 0 beyond the diameter limit; 1 without a provider.
+  // interior nodes, each keeping at most d_max). 0 beyond the diameter
+  // limit; 1 without a provider.
   double IndexTransmissionBound(NodeId from, NodeId to) const;
 
   KeywordMask all_keywords_mask() const { return all_mask_; }

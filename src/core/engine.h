@@ -103,18 +103,6 @@ class CiRankEngine {
     std::shared_ptr<const Snapshot> snapshot_;
   };
 
-  // Builds the index, runs PageRank, and derives the RWMP model. `graph`
-  // must outlive the engine.
-  //
-  // DEPRECATED construction path (DESIGN.md §16): new call sites should use
-  // CiRankEngine::Builder (graph + knobs in one fluent chain) or, for the
-  // full dataset/star-index/sharding surface, shard::EngineBuilder — the
-  // `engine-construction` analyzer rule flags direct Build() calls in
-  // bench/ and examples/. Kept public because Builder::Build() and the
-  // existing unit tests route through it.
-  [[nodiscard]] static Result<CiRankEngine> Build(const Graph& graph,
-                                    const CiRankOptions& options = {});
-
   CiRankEngine(CiRankEngine&&) noexcept;
   CiRankEngine& operator=(CiRankEngine&&) noexcept;
   ~CiRankEngine();
@@ -199,6 +187,11 @@ class CiRankEngine {
 
   CiRankEngine();
 
+  // Builds the index, runs PageRank, and derives the RWMP model. `graph`
+  // must outlive the engine. Reached only through Builder::Build().
+  [[nodiscard]] static Result<CiRankEngine> Build(const Graph& graph,
+                                                  const CiRankOptions& options);
+
   // Pin → lookup → ExecuteUncached → store over fully resolved options;
   // `path` selects the result-cache contract (core/result_cache.h).
   Result<std::vector<RankedAnswer>> CachedSearch(const Query& query,
@@ -223,12 +216,11 @@ class CiRankEngine {
   std::unique_ptr<Serving> serving_;
 };
 
-// The one sanctioned way to construct an engine (PR 10's half of the
-// construction-API redesign; shard::EngineBuilder layers datasets, the star
-// index, and sharding on top). Mirrors the SearchOverrides fluent-builder
-// style from core/options.h: every setter returns *this, unset knobs keep
-// the CiRankOptions defaults, and Build() funnels into the same validated
-// factory as before, so the two paths cannot drift.
+// The one way to construct an engine (shard::EngineBuilder layers datasets,
+// the star index, and sharding on top). Mirrors the SearchOverrides
+// fluent-builder style from core/options.h: every setter returns *this,
+// unset knobs keep the CiRankOptions defaults, and Build() funnels into the
+// engine's private validated factory, which only this nested class can call.
 //
 //   auto engine = CiRankEngine::Builder(graph)
 //                     .WithSearchDefaults(defaults)

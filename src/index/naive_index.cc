@@ -1,15 +1,13 @@
 #include "index/naive_index.h"
 
-#include <algorithm>
-
 namespace cirank {
 
 namespace {
-constexpr uint8_t kFar = 255;
+// Distances are stored in one byte, and max_distance + 1 must fit.
+constexpr uint32_t kMaxHorizon = 254;
 }  // namespace
 
 Result<NaiveIndex> NaiveIndex::Build(const Graph& graph,
-                                     const RwmpModel& model,
                                      const NaiveIndexOptions& options) {
   const size_t n = graph.num_nodes();
   if (n == 0) return Status::InvalidArgument("empty graph");
@@ -17,42 +15,28 @@ Result<NaiveIndex> NaiveIndex::Build(const Graph& graph,
     return Status::FailedPrecondition(
         "graph too large for the naive all-pairs index; use StarIndex");
   }
-  if (options.max_distance >= kFar) {
+  if (options.max_distance > kMaxHorizon) {
     return Status::InvalidArgument("max_distance must be < 255");
   }
 
   NaiveIndex index;
   index.n_ = n;
-  index.dist_.assign(n * n, kFar);
-  index.trans_.assign(n * n, 0.0f);
-
+  // A pair beyond the horizon is at least one hop past it.
+  index.dist_.assign(n * n, static_cast<uint8_t>(options.max_distance + 1));
   std::vector<uint32_t> dist;
-  std::vector<double> trans;
   for (NodeId s = 0; s < n; ++s) {
     BfsDistances(graph, s, options.max_distance, &dist);
-    // Unbounded-hop max-product search is exact over all paths, so the
-    // stored value upper-bounds any bounded tree path's transmission.
-    MaxProductReachability(graph, s, model.dampening_vector(), kUnreachable,
-                           &trans);
     for (size_t v = 0; v < n; ++v) {
       if (dist[v] != kUnreachable) {
         index.dist_[s * n + v] = static_cast<uint8_t>(dist[v]);
       }
-      index.trans_[s * n + v] = static_cast<float>(trans[v]);
     }
   }
   return index;
 }
 
-double NaiveIndex::TransmissionBound(NodeId from, NodeId to) const {
-  if (from == to) return 1.0;
-  // Nudge up to stay admissible after the double->float narrowing.
-  return std::min(1.0, static_cast<double>(trans_[from * n_ + to]) * (1.0 + 1e-6));
-}
-
 uint32_t NaiveIndex::DistanceLowerBound(NodeId from, NodeId to) const {
-  const uint8_t d = dist_[from * n_ + to];
-  return d == kFar ? kUnreachable : d;
+  return dist_[from * n_ + to];
 }
 
 }  // namespace cirank

@@ -1,7 +1,10 @@
 // The naive index of Sec. V-A: materialized all-pairs shortest distances
-// DS(u, v) and best-case message transmission LS(u, v) (the complement of
-// the paper's "minimal loss"). O(|V|^2) space, so it is gated to small
-// graphs -- exactly the limitation that motivates the star index.
+// DS(u, v). The paper also stores the best-case message transmission
+// LS(u, v), but that depends on the RWMP model, which a feedback rebuild
+// replaces; the search derives its transmission bound from DS under the
+// model it runs on (UpperBoundCalculator, core/bounds.h). O(|V|^2) space,
+// so it is gated to small graphs -- exactly the limitation that motivates
+// the star index.
 #ifndef CIRANK_INDEX_NAIVE_INDEX_H_
 #define CIRANK_INDEX_NAIVE_INDEX_H_
 
@@ -9,7 +12,6 @@
 #include <vector>
 
 #include "core/bounds.h"
-#include "core/rwmp.h"
 #include "graph/traversal.h"
 
 namespace cirank {
@@ -17,33 +19,28 @@ namespace cirank {
 struct NaiveIndexOptions {
   // Refuse to build beyond this many nodes (quadratic memory).
   size_t max_nodes = 6000;
-  // Distances larger than this are recorded as unreachable; candidates that
-  // far apart are pruned by the diameter limit anyway. Must be < 255.
+  // Distances are recorded exactly up to this many hops; a pair further
+  // apart gets the lower bound max_distance + 1. A horizon below the search
+  // diameter limit D costs pruning power, not correctness. Must be < 255.
   uint32_t max_distance = 16;
 };
 
 class NaiveIndex : public PairwiseBoundProvider {
  public:
-  // Runs one BFS and one max-product Dijkstra per node. The transmission
-  // values are exact maxima over all directed paths, hence admissible upper
-  // bounds for the tree paths used during search.
-  [[nodiscard]] static Result<NaiveIndex> Build(const Graph& graph, const RwmpModel& model,
-                                  const NaiveIndexOptions& options = {});
+  // Runs one bounded BFS per node; reads the graph only.
+  [[nodiscard]] static Result<NaiveIndex> Build(
+      const Graph& graph, const NaiveIndexOptions& options = {});
 
-  double TransmissionBound(NodeId from, NodeId to) const override;
   uint32_t DistanceLowerBound(NodeId from, NodeId to) const override;
 
   // Approximate memory footprint in bytes, for reporting.
-  size_t MemoryBytes() const {
-    return dist_.size() * sizeof(uint8_t) + trans_.size() * sizeof(float);
-  }
+  size_t MemoryBytes() const { return dist_.size() * sizeof(uint8_t); }
 
  private:
   NaiveIndex() = default;
 
   size_t n_ = 0;
-  std::vector<uint8_t> dist_;   // row-major n*n; 255 = unreachable/far
-  std::vector<float> trans_;    // row-major n*n
+  std::vector<uint8_t> dist_;  // row-major n*n; max_distance + 1 = beyond
 };
 
 }  // namespace cirank

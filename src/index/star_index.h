@@ -4,10 +4,13 @@
 // those nodes (Cases 2 and 3 of the paper). Because star tables form a
 // vertex cover of the schema graph, every neighbor of a non-star node is a
 // star node, which makes the composition exact up to the +-1 hop slack the
-// paper describes. All estimates stay on the optimistic side (distances are
-// lower bounds, transmissions upper bounds), so branch-and-bound pruning
-// remains admissible at reduced pruning power -- the size/power trade-off
-// discussed in the paper.
+// paper describes. The index stores distances only: the paper's per-pair
+// loss LS depends on the RWMP model, which a feedback rebuild replaces, so
+// the search derives its transmission bound d_max^(DS - 1) from these
+// distances under the model it runs on (UpperBoundCalculator,
+// core/bounds.h). Every estimate is a lower bound, so branch-and-bound
+// pruning stays admissible at reduced pruning power -- the size/power
+// trade-off discussed in the paper.
 #ifndef CIRANK_INDEX_STAR_INDEX_H_
 #define CIRANK_INDEX_STAR_INDEX_H_
 
@@ -21,27 +24,26 @@
 namespace cirank {
 
 struct StarIndexOptions {
-  // Distances larger than this are recorded as unreachable. Must be >= the
-  // search diameter limit D and < 255.
+  // Distances are recorded exactly up to this many hops; a pair further
+  // apart gets the lower bound max_distance + 1. A horizon below the search
+  // diameter limit D costs pruning power, not correctness. Must be < 255.
   uint32_t max_distance = 12;
   // Refuse to build beyond this many star nodes (quadratic memory).
   size_t max_star_nodes = 20000;
-  // When true, run an exact max-product Dijkstra per star node to store
-  // per-pair transmission bounds for `model` (slow, small graphs only).
-  // When false, the index stores distances only and TransmissionBound is
-  // the trivial 1.0: the search derives the closed form d_max^(DS - 1)
-  // from DistanceLowerBound itself, with d_max the largest dampening of
-  // the model it is searching (UpperBoundCalculator, core/bounds.h), so the
-  // bound stays admissible after a feedback rebuild.
-  bool exact_transmission = false;
 };
 
 class StarIndex : public PairwiseBoundProvider {
  public:
-  [[nodiscard]] static Result<StarIndex> Build(const Graph& graph, const RwmpModel& model,
-                                 const StarIndexOptions& options = {});
+  // One bounded BFS per star node; reads the graph only.
+  [[nodiscard]] static Result<StarIndex> Build(
+      const Graph& graph, const StarIndexOptions& options = {});
+  // Ignores `model` and forwards to the graph-only overload. Kept only for
+  // perfbench/run_traced.cc, which cannot change outside a benchmark change;
+  // the next benchmark change deletes it. Nothing else may call it.
+  [[nodiscard]] static Result<StarIndex> Build(
+      const Graph& graph, const RwmpModel& model,
+      const StarIndexOptions& options = {});
 
-  double TransmissionBound(NodeId from, NodeId to) const override;
   uint32_t DistanceLowerBound(NodeId from, NodeId to) const override;
 
   bool IsStarNode(NodeId v) const { return star_ordinal_[v] >= 0; }
@@ -49,25 +51,22 @@ class StarIndex : public PairwiseBoundProvider {
   const std::vector<RelationId>& star_tables() const { return star_tables_; }
 
   size_t MemoryBytes() const {
-    return dist_.size() * sizeof(uint8_t) + trans_.size() * sizeof(float) +
+    return dist_.size() * sizeof(uint8_t) +
            star_ordinal_.size() * sizeof(int32_t);
   }
 
  private:
   StarIndex() = default;
 
-  // Star-to-star lookups (Case 1).
+  // Star-to-star lookup (Case 1).
   uint32_t StarDistance(int32_t from_ord, int32_t to_ord) const;
-  double StarTransmission(int32_t from_ord, int32_t to_ord) const;
 
   const Graph* graph_ = nullptr;
   std::vector<RelationId> star_tables_;
   std::vector<int32_t> star_ordinal_;  // -1 for non-star nodes
   std::vector<NodeId> star_nodes_;
   size_t s_ = 0;                  // number of star nodes
-  std::vector<uint8_t> dist_;     // row-major s*s; 255 = unreachable/far
-  std::vector<float> trans_;      // row-major s*s; empty unless exact mode
-  std::vector<double> dampening_; // per-node copy; only kept in exact mode
+  std::vector<uint8_t> dist_;  // row-major s*s; max_distance + 1 = beyond
 };
 
 }  // namespace cirank

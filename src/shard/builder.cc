@@ -63,26 +63,23 @@ Result<BuiltEngine> EngineBuilder::Build() const {
     built.dataset = dataset_;
   }
 
-  // 2. Engine, then the optional star index. The index needs the engine's
-  // RWMP model to build and the engine needs the index's address as its
-  // default bound provider, so a requested index costs one rebuild — the
-  // dance every caller used to hand-roll, now in one place. The index
-  // address is stable (unique_ptr), so the rebuilt engine's pointer
-  // survives moves of the bundle.
+  // 2. The optional star index, then the engine. The index reads the graph
+  // only, so it is built first and the engine is built once with its
+  // address as the default bound provider. The address is stable
+  // (unique_ptr), so the engine's pointer survives moves of the bundle.
   CiRankEngine::Builder engine_builder(*built.graph);
   engine_builder.WithOptions(engine_options_);
-  CIRANK_ASSIGN_OR_RETURN(CiRankEngine engine, engine_builder.Build());
   if (star_index_) {
-    Result<StarIndex> index = StarIndex::Build(*built.graph, engine.model());
+    Result<StarIndex> index = StarIndex::Build(*built.graph);
     if (index.ok()) {
       built.star_index =
           std::make_unique<StarIndex>(std::move(index).value());
       engine_builder.WithBounds(built.star_index.get());
-      CIRANK_ASSIGN_OR_RETURN(engine, engine_builder.Build());
     } else {
       built.star_index_note = index.status().ToString();
     }
   }
+  CIRANK_ASSIGN_OR_RETURN(CiRankEngine engine, engine_builder.Build());
   built.engine = std::make_unique<CiRankEngine>(std::move(engine));
 
   // 3. The sharded facade — also for num_shards = 1, where it is a

@@ -1,9 +1,9 @@
 // shard::EngineBuilder — the one construction surface for a serving-ready
 // engine (DESIGN.md §16). Everything cirankd, cirank_cli, the benches, and
 // the test harness used to hand-roll lives behind one fluent chain:
-// dataset generation (or graph load), the engine build, the optional star
-// index (including the build-index-rebuild dance the index's bound pointer
-// requires), and shard attachment:
+// dataset generation (or graph load), the optional star index, the one
+// engine build (wired to the index as its bound provider), and shard
+// attachment:
 //
 //   CIRANK_ASSIGN_OR_RETURN(
 //       shard::BuiltEngine built,

@@ -26,7 +26,7 @@ class EngineTest : public ::testing::Test {
     auto ds = BuildImdbDataset(opts);
     ASSERT_TRUE(ds.ok());
     dataset_ = std::make_unique<Dataset>(std::move(ds).value());
-    auto engine = CiRankEngine::Build(dataset_->graph);
+    auto engine = CiRankEngine::Builder(dataset_->graph).Build();
     ASSERT_TRUE(engine.ok());
     engine_ = std::make_unique<CiRankEngine>(std::move(engine).value());
   }
@@ -38,7 +38,8 @@ class EngineTest : public ::testing::Test {
 TEST_F(EngineTest, BuildValidatesOptions) {
   CiRankOptions opts;
   opts.rwmp.alpha = 2.0;
-  EXPECT_FALSE(CiRankEngine::Build(dataset_->graph, opts).ok());
+  EXPECT_FALSE(
+      CiRankEngine::Builder(dataset_->graph).WithOptions(opts).Build().ok());
 }
 
 TEST_F(EngineTest, SearchReturnsRankedValidAnswers) {
@@ -98,7 +99,7 @@ TEST_F(EngineTest, CoStarQueryConnectsThroughMovie) {
 }
 
 TEST_F(EngineTest, StarIndexAcceleratedSearchMatches) {
-  auto index = StarIndex::Build(dataset_->graph, engine_->model());
+  auto index = StarIndex::Build(dataset_->graph);
   ASSERT_TRUE(index.ok());
   const NodeId actor = dataset_->nodes_by_relation[1][3];
   Query q = Query::MustParse(dataset_->graph.text_of(actor));
@@ -136,7 +137,7 @@ TEST_F(EngineTest, OverridesMergeOverEngineDefaults) {
   opts.search.max_diameter = 2;
   opts.search.max_expansions = 5000;
   opts.search.strict_merge_rule = true;
-  auto built = CiRankEngine::Build(dataset_->graph, opts);
+  auto built = CiRankEngine::Builder(dataset_->graph).WithOptions(opts).Build();
   ASSERT_TRUE(built.ok());
   CiRankEngine engine = std::move(built).value();
 
@@ -286,7 +287,7 @@ TEST_F(EngineTest, EngineCountersAdvanceExactlyAsSearchStats) {
   obs::MetricsRegistry local;
   CiRankOptions opts;
   opts.metrics = &local;
-  auto built = CiRankEngine::Build(dataset_->graph, opts);
+  auto built = CiRankEngine::Builder(dataset_->graph).WithOptions(opts).Build();
   ASSERT_TRUE(built.ok());
   CiRankEngine engine = std::move(built).value();
   ASSERT_EQ(engine.metrics(), &local);
@@ -343,7 +344,7 @@ TEST_F(EngineTest, TruncationCounterMatchesSearchStats) {
   obs::MetricsRegistry local;
   CiRankOptions opts;
   opts.metrics = &local;
-  auto built = CiRankEngine::Build(dataset_->graph, opts);
+  auto built = CiRankEngine::Builder(dataset_->graph).WithOptions(opts).Build();
   ASSERT_TRUE(built.ok());
   CiRankEngine engine = std::move(built).value();
 
@@ -367,7 +368,7 @@ TEST_F(EngineTest, SearchBatchPopulatesRequiredMetricFamilies) {
   obs::MetricsRegistry local;
   CiRankOptions opts;
   opts.metrics = &local;
-  auto built = CiRankEngine::Build(dataset_->graph, opts);
+  auto built = CiRankEngine::Builder(dataset_->graph).WithOptions(opts).Build();
   ASSERT_TRUE(built.ok());
   CiRankEngine engine = std::move(built).value();
 
@@ -400,7 +401,8 @@ TEST_F(EngineTest, SearchBatchPopulatesRequiredMetricFamilies) {
 TEST_F(EngineTest, InstrumentationDoesNotChangeResults) {
   CiRankOptions plain_opts;
   plain_opts.metrics_enabled = false;
-  auto plain_built = CiRankEngine::Build(dataset_->graph, plain_opts);
+  auto plain_built =
+      CiRankEngine::Builder(dataset_->graph).WithOptions(plain_opts).Build();
   ASSERT_TRUE(plain_built.ok());
   CiRankEngine plain = std::move(plain_built).value();
   ASSERT_EQ(plain.metrics(), nullptr);
@@ -410,7 +412,9 @@ TEST_F(EngineTest, InstrumentationDoesNotChangeResults) {
   CiRankOptions instrumented_opts;
   instrumented_opts.metrics = &local;
   instrumented_opts.trace = &trace;
-  auto instr_built = CiRankEngine::Build(dataset_->graph, instrumented_opts);
+  auto instr_built = CiRankEngine::Builder(dataset_->graph)
+                         .WithOptions(instrumented_opts)
+                         .Build();
   ASSERT_TRUE(instr_built.ok());
   CiRankEngine instrumented = std::move(instr_built).value();
 
@@ -444,7 +448,7 @@ TEST(EngineDblpTest, WorksOnDblpSchema) {
   opts.seed = 66;
   auto ds = BuildDblpDataset(opts);
   ASSERT_TRUE(ds.ok());
-  auto engine = CiRankEngine::Build(ds->graph);
+  auto engine = CiRankEngine::Builder(ds->graph).Build();
   ASSERT_TRUE(engine.ok());
 
   const NodeId author = ds->nodes_by_relation[1].front();

@@ -164,7 +164,7 @@ TEST(ExperimentTest, RunsEndToEndAndRanksCiRankFirst) {
   auto ds = BuildImdbDataset(gopts);
   ASSERT_TRUE(ds.ok());
 
-  auto engine = CiRankEngine::Build(ds->graph);
+  auto engine = CiRankEngine::Builder(ds->graph).Build();
   ASSERT_TRUE(engine.ok());
 
   QueryGenOptions qopts;

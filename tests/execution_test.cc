@@ -231,7 +231,7 @@ class ExecutionEngineTest : public ::testing::Test {
     auto ds = BuildImdbDataset(opts);
     ASSERT_TRUE(ds.ok());
     dataset_ = std::make_unique<Dataset>(std::move(ds).value());
-    auto engine = CiRankEngine::Build(dataset_->graph);
+    auto engine = CiRankEngine::Builder(dataset_->graph).Build();
     ASSERT_TRUE(engine.ok());
     engine_ = std::make_unique<CiRankEngine>(std::move(engine).value());
     query_ = Query::MustParse(
@@ -299,7 +299,8 @@ TEST_F(ExecutionEngineTest, PoolScoringExecutorsAreNaiveWithTheirRanker) {
   CiRankOptions options;
   options.metrics = &metrics;
   options.cache.capacity = 0;
-  auto built = CiRankEngine::Build(dataset_->graph, options);
+  auto built =
+      CiRankEngine::Builder(dataset_->graph).WithOptions(options).Build();
   ASSERT_TRUE(built.ok());
   const CiRankEngine engine = std::move(built).value();
 

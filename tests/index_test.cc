@@ -1,61 +1,56 @@
-// Tests of both index structures (Sec. V): exactness of the naive index,
-// admissibility (never-tighter-than-truth) of the star index's composed
-// lookups, and equality of branch-and-bound results with and without
-// indexes.
+// Tests of both index structures (Sec. V): exactness of the naive index's
+// distances, admissibility (never-tighter-than-truth) of the star index's
+// composed lookups and of the transmission bound the search derives from
+// either index, and equality of branch-and-bound results with and without
+// indexes -- also after a feedback rebuild and below an index's horizon.
 #include "index/naive_index.h"
 #include "index/star_index.h"
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/engine.h"
 #include "core/naive_search.h"
 #include "datasets/dblp_gen.h"
 #include "datasets/imdb_gen.h"
+#include "datasets/query_gen.h"
 #include "tests/test_util.h"
 
 namespace cirank {
 namespace {
 
+using testing_util::Fingerprint;
 using testing_util::MakeRandomGraph;
 using testing_util::MakeScorerBundle;
 using testing_util::ScorerBundle;
 
-TEST(NaiveIndexTest, DistancesMatchBfs) {
-  ScorerBundle b = MakeScorerBundle(MakeRandomGraph(1, 30));
-  auto index = NaiveIndex::Build(b.graph, *b.model);
-  ASSERT_TRUE(index.ok());
-  std::vector<uint32_t> dist;
-  for (NodeId s = 0; s < b.graph.num_nodes(); ++s) {
-    BfsDistances(b.graph, s, 16, &dist);
-    for (NodeId v = 0; v < b.graph.num_nodes(); ++v) {
-      EXPECT_EQ(index->DistanceLowerBound(s, v), dist[v]);
-    }
-  }
-}
+using NamedProviders =
+    std::vector<std::pair<const char*, const PairwiseBoundProvider*>>;
 
-TEST(NaiveIndexTest, TransmissionMatchesMaxProduct) {
-  ScorerBundle b = MakeScorerBundle(MakeRandomGraph(2, 25));
-  auto index = NaiveIndex::Build(b.graph, *b.model);
+TEST(NaiveIndexTest, DistancesMatchBfs) {
+  const Graph graph = MakeRandomGraph(1, 30);
+  auto index = NaiveIndex::Build(graph);
   ASSERT_TRUE(index.ok());
-  std::vector<double> best;
-  for (NodeId s = 0; s < b.graph.num_nodes(); ++s) {
-    MaxProductReachability(b.graph, s, b.model->dampening_vector(),
-                           kUnreachable, &best);
-    for (NodeId v = 0; v < b.graph.num_nodes(); ++v) {
-      if (s == v) continue;
-      // Stored as float with an upward nudge: bound must dominate truth.
-      EXPECT_GE(index->TransmissionBound(s, v), best[v] - 1e-9);
-      EXPECT_LE(index->TransmissionBound(s, v), best[v] * (1.0 + 1e-4) + 1e-9);
+  // A pair beyond the horizon is bounded as one hop past it.
+  const uint32_t beyond = NaiveIndexOptions().max_distance + 1;
+  std::vector<uint32_t> dist;
+  for (NodeId s = 0; s < graph.num_nodes(); ++s) {
+    BfsDistances(graph, s, 16, &dist);
+    for (NodeId v = 0; v < graph.num_nodes(); ++v) {
+      EXPECT_EQ(index->DistanceLowerBound(s, v),
+                dist[v] == kUnreachable ? beyond : dist[v]);
     }
   }
 }
 
 TEST(NaiveIndexTest, RefusesHugeGraphs) {
-  ScorerBundle b = MakeScorerBundle(MakeRandomGraph(3, 50));
+  const Graph graph = MakeRandomGraph(3, 50);
   NaiveIndexOptions opts;
   opts.max_nodes = 10;
-  EXPECT_TRUE(
-      NaiveIndex::Build(b.graph, *b.model, opts).status().IsFailedPrecondition());
+  EXPECT_TRUE(NaiveIndex::Build(graph, opts).status().IsFailedPrecondition());
 }
 
 class StarIndexTest : public ::testing::Test {
@@ -77,12 +72,39 @@ class StarIndexTest : public ::testing::Test {
     model_ = std::make_unique<RwmpModel>(std::move(model).value());
   }
 
+  // The first `n` of the fixture's paper-mix queries (GenerateQueries'
+  // default mix).
+  std::vector<Query> PaperMixQueries(int n) const {
+    QueryGenOptions opts;
+    opts.num_queries = n;
+    auto labeled = GenerateQueries(*dataset_, opts);
+    EXPECT_TRUE(labeled.ok());
+    std::vector<Query> queries;
+    if (!labeled.ok()) return queries;
+    for (const LabeledQuery& q : *labeled) queries.push_back(q.query);
+    return queries;
+  }
+
   std::unique_ptr<Dataset> dataset_;
   std::unique_ptr<RwmpModel> model_;
 };
 
+// Heavy weighted clicks on the first quarter of the nodes, then one rebuild:
+// the rebuilt model's largest dampening exceeds the built one's.
+void ClickAndRebuild(CiRankEngine* engine) {
+  const size_t n = engine->graph().num_nodes();
+  const double built_max_dampening = engine->model().max_dampening();
+  Rng clicks(11);
+  for (int i = 0; i < 300; ++i) {
+    const NodeId v = static_cast<NodeId>(clicks.NextUint(n / 4));
+    ASSERT_TRUE(engine->RecordClick(v, 1.0 + (i % 7)).ok());
+  }
+  ASSERT_TRUE(engine->RebuildFromFeedback().ok());
+  ASSERT_GT(engine->model().max_dampening(), built_max_dampening);
+}
+
 TEST_F(StarIndexTest, OnlyMovieNodesAreStar) {
-  auto index = StarIndex::Build(dataset_->graph, *model_);
+  auto index = StarIndex::Build(dataset_->graph);
   ASSERT_TRUE(index.ok());
   ASSERT_EQ(index->star_tables().size(), 1u);
   for (NodeId v = 0; v < dataset_->graph.num_nodes(); ++v) {
@@ -94,7 +116,7 @@ TEST_F(StarIndexTest, OnlyMovieNodesAreStar) {
 }
 
 TEST_F(StarIndexTest, DistanceIsAlwaysLowerBound) {
-  auto index = StarIndex::Build(dataset_->graph, *model_);
+  auto index = StarIndex::Build(dataset_->graph);
   ASSERT_TRUE(index.ok());
   // Sample pairs and compare against true BFS distances.
   std::vector<uint32_t> dist;
@@ -110,31 +132,12 @@ TEST_F(StarIndexTest, DistanceIsAlwaysLowerBound) {
   }
 }
 
-TEST_F(StarIndexTest, TransmissionIsAlwaysUpperBound) {
-  StarIndexOptions opts;
-  opts.exact_transmission = true;
-  auto index = StarIndex::Build(dataset_->graph, *model_, opts);
-  ASSERT_TRUE(index.ok());
-  std::vector<double> best;
-  Rng rng(6);
-  for (int trial = 0; trial < 20; ++trial) {
-    NodeId s = static_cast<NodeId>(rng.NextUint(dataset_->graph.num_nodes()));
-    MaxProductReachability(dataset_->graph, s, model_->dampening_vector(),
-                           kUnreachable, &best);
-    for (NodeId v = 0; v < dataset_->graph.num_nodes(); ++v) {
-      if (v == s) continue;
-      EXPECT_GE(index->TransmissionBound(s, v), best[v] - 1e-9)
-          << "pair " << s << "->" << v;
-    }
-  }
-}
-
-// Outside exact mode the star index stores distances only; the closed form
-// over them lives in the search's UpperBoundCalculator, under the model the
-// search runs on. A diameter limit at the index's distance horizon makes
-// the calculator bound every pair the index can place.
+// The star index stores distances only; the closed form over them lives in
+// the search's UpperBoundCalculator, under the model the search runs on. A
+// diameter limit at the index's distance horizon makes the calculator bound
+// every pair the index can place.
 TEST_F(StarIndexTest, ClosedFormTransmissionIsUpperBound) {
-  auto index = StarIndex::Build(dataset_->graph, *model_);  // no exact mode
+  auto index = StarIndex::Build(dataset_->graph);
   ASSERT_TRUE(index.ok());
   InvertedIndex inv(dataset_->graph);
   TreeScorer scorer(*model_, inv);
@@ -155,47 +158,118 @@ TEST_F(StarIndexTest, ClosedFormTransmissionIsUpperBound) {
 }
 
 // Heavy clicks and one rebuild raise the model's largest dampening above
-// the one the star index was built from. The bound the search applies must
-// follow the rebuilt model: for every pair within the diameter limit it
-// dominates the true max-product transmission under that model.
+// the one in force when the indexes were built. The bound the search
+// applies must follow the rebuilt model: for every pair within the diameter
+// limit it dominates the true max-product transmission under that model,
+// whichever index supplies the distances.
 TEST_F(StarIndexTest, ClosedFormTransmissionFollowsTheRebuiltModel) {
   auto built = CiRankEngine::Builder(dataset_->graph).Build();
   ASSERT_TRUE(built.ok());
   CiRankEngine engine = std::move(built).value();
-  auto index = StarIndex::Build(dataset_->graph, engine.model());
-  ASSERT_TRUE(index.ok());
-  const double built_max_dampening = engine.model().max_dampening();
+  auto naive = NaiveIndex::Build(dataset_->graph);
+  auto star = StarIndex::Build(dataset_->graph);
+  ASSERT_TRUE(naive.ok() && star.ok());
+  ASSERT_NO_FATAL_FAILURE(ClickAndRebuild(&engine));
+  const RwmpModel& rebuilt = engine.model();
 
   const size_t n = dataset_->graph.num_nodes();
-  Rng clicks(11);
-  for (int i = 0; i < 300; ++i) {
-    const NodeId v = static_cast<NodeId>(clicks.NextUint(n / 4));
-    ASSERT_TRUE(engine.RecordClick(v, 1.0 + (i % 7)).ok());
-  }
-  ASSERT_TRUE(engine.RebuildFromFeedback().ok());
-  const RwmpModel& rebuilt = engine.model();
-  ASSERT_GT(rebuilt.max_dampening(), built_max_dampening);
-
   const uint32_t d = engine.options().search.max_diameter;
-  UpperBoundCalculator calc(engine.scorer(), Query::MustParse("james"), d,
-                            &index.value());
-  std::vector<uint32_t> dist;
-  std::vector<double> best;
-  Rng rng(12);
-  int checked = 0;
-  for (int trial = 0; trial < 20; ++trial) {
-    const NodeId s = static_cast<NodeId>(rng.NextUint(n));
-    BfsDistances(dataset_->graph, s, d, &dist);
-    MaxProductReachability(dataset_->graph, s, rebuilt.dampening_vector(),
-                           kUnreachable, &best);
-    for (NodeId v = 0; v < n; ++v) {
-      if (v == s || dist[v] == kUnreachable) continue;
-      ++checked;
-      EXPECT_GE(calc.IndexTransmissionBound(s, v), best[v] - 1e-9)
-          << "pair " << s << "->" << v << " at distance " << dist[v];
+  const Query q = Query::MustParse("james");
+  const NamedProviders providers = {{"naive", &naive.value()},
+                                    {"star", &star.value()}};
+  for (const auto& [name, provider] : providers) {
+    SCOPED_TRACE(name);
+    UpperBoundCalculator calc(engine.scorer(), q, d, provider);
+    std::vector<uint32_t> dist;
+    std::vector<double> best;
+    Rng rng(12);
+    int checked = 0;
+    for (int trial = 0; trial < 20; ++trial) {
+      const NodeId s = static_cast<NodeId>(rng.NextUint(n));
+      BfsDistances(dataset_->graph, s, d, &dist);
+      MaxProductReachability(dataset_->graph, s, rebuilt.dampening_vector(),
+                             kUnreachable, &best);
+      for (NodeId v = 0; v < n; ++v) {
+        if (v == s || dist[v] == kUnreachable) continue;
+        ++checked;
+        EXPECT_GE(calc.IndexTransmissionBound(s, v), best[v] - 1e-9)
+            << "pair " << s << "->" << v << " at distance " << dist[v];
+      }
+    }
+    EXPECT_GT(checked, 0);
+  }
+}
+
+// After clicks and a rebuild, indexes built before it still change pruning
+// only: on the rebuilt model, the indexed answers equal the index-free
+// answers byte for byte.
+TEST_F(StarIndexTest, IndexedAnswersMatchIndexFreeAfterRebuild) {
+  auto built = CiRankEngine::Builder(dataset_->graph).Build();
+  ASSERT_TRUE(built.ok());
+  CiRankEngine engine = std::move(built).value();
+  auto naive = NaiveIndex::Build(dataset_->graph);
+  auto star = StarIndex::Build(dataset_->graph);
+  ASSERT_TRUE(naive.ok() && star.ok());
+  ASSERT_NO_FATAL_FAILURE(ClickAndRebuild(&engine));
+
+  const std::vector<Query> queries = PaperMixQueries(8);
+  ASSERT_FALSE(queries.empty());
+  SearchOptions opts = engine.options().search;
+  opts.k = 5;
+  const NamedProviders providers = {{"naive", &naive.value()},
+                                    {"star", &star.value()}};
+  for (const Query& q : queries) {
+    opts.bounds = nullptr;
+    auto plain = engine.Search(q, opts);
+    ASSERT_TRUE(plain.ok());
+    for (const auto& [name, provider] : providers) {
+      opts.bounds = provider;
+      auto indexed = engine.Search(q, opts);
+      ASSERT_TRUE(indexed.ok());
+      EXPECT_EQ(Fingerprint(*plain), Fingerprint(*indexed))
+          << name << " index, query "
+          << ::testing::PrintToString(q.keywords);
     }
   }
-  EXPECT_GT(checked, 0);
+}
+
+// A horizon below the diameter limit costs pruning power, not answers: a
+// pair beyond it is bounded as one hop past the horizon, not as unreachable.
+// At horizon 3 and D = 5, answers of diameter 4 and 5 stay findable.
+TEST_F(StarIndexTest, HorizonBelowDiameterLimitKeepsAnswers) {
+  NaiveIndexOptions naive_opts;
+  naive_opts.max_distance = 3;
+  StarIndexOptions star_opts;
+  star_opts.max_distance = 3;
+  auto naive = NaiveIndex::Build(dataset_->graph, naive_opts);
+  auto star = StarIndex::Build(dataset_->graph, star_opts);
+  ASSERT_TRUE(naive.ok() && star.ok());
+  InvertedIndex inv(dataset_->graph);
+  TreeScorer scorer(*model_, inv);
+
+  // Two title-word queries whose best answers have diameter 4.
+  const std::vector<Query> queries = {Query::MustParse("ghost shadow"),
+                                      Query::MustParse("general mission")};
+  SearchOptions opts;
+  opts.k = 10;
+  opts.max_diameter = 5;
+  const NamedProviders providers = {{"naive", &naive.value()},
+                                    {"star", &star.value()}};
+  for (const Query& q : queries) {
+    opts.bounds = nullptr;
+    auto plain = BranchAndBoundSearch(scorer, q, opts);
+    ASSERT_TRUE(plain.ok());
+    ASSERT_FALSE(plain->empty());
+    EXPECT_GT(plain->front().tree.Diameter(), 3u);  // beyond the horizon
+    for (const auto& [name, provider] : providers) {
+      opts.bounds = provider;
+      auto indexed = BranchAndBoundSearch(scorer, q, opts);
+      ASSERT_TRUE(indexed.ok());
+      EXPECT_EQ(Fingerprint(*plain), Fingerprint(*indexed))
+          << name << " index, query "
+          << ::testing::PrintToString(q.keywords);
+    }
+  }
 }
 
 // The central index property: branch-and-bound results must be identical
@@ -203,7 +277,7 @@ TEST_F(StarIndexTest, ClosedFormTransmissionFollowsTheRebuiltModel) {
 TEST(IndexedSearchTest, BnbResultsUnchangedByIndexes) {
   for (uint64_t seed : {1u, 2u, 3u}) {
     ScorerBundle b = MakeScorerBundle(MakeRandomGraph(seed, 18));
-    auto naive_index = NaiveIndex::Build(b.graph, *b.model);
+    auto naive_index = NaiveIndex::Build(b.graph);
     ASSERT_TRUE(naive_index.ok());
 
     Query q = Query::MustParse("kw0 kw1");
@@ -222,7 +296,7 @@ TEST(IndexedSearchTest, BnbResultsUnchangedByIndexes) {
 }
 
 TEST_F(StarIndexTest, BnbResultsUnchangedByStarIndex) {
-  auto index = StarIndex::Build(dataset_->graph, *model_);
+  auto index = StarIndex::Build(dataset_->graph);
   ASSERT_TRUE(index.ok());
   InvertedIndex inv(dataset_->graph);
   TreeScorer scorer(*model_, inv);
@@ -243,7 +317,7 @@ TEST_F(StarIndexTest, BnbResultsUnchangedByStarIndex) {
 
 TEST(IndexedSearchTest, IndexReducesExpansions) {
   ScorerBundle b = MakeScorerBundle(MakeRandomGraph(4, 60, 3.0));
-  auto naive_index = NaiveIndex::Build(b.graph, *b.model);
+  auto naive_index = NaiveIndex::Build(b.graph);
   ASSERT_TRUE(naive_index.ok());
 
   Query q = Query::MustParse("kw0 kw1");

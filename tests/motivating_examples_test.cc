@@ -13,7 +13,7 @@ TEST(MotivatingExamples, TsimmisHighlyCitedPaperWins) {
   // Fig. 2: the JTT through the 38-citation paper must outrank the JTT
   // through the 7-citation paper.
   TsimmisExample ex = BuildTsimmisExample();
-  auto engine = CiRankEngine::Build(ex.dataset.graph);
+  auto engine = CiRankEngine::Builder(ex.dataset.graph).Build();
   ASSERT_TRUE(engine.ok());
 
   Query q = Query::MustParse("papakonstantinou ullman");
@@ -40,7 +40,7 @@ TEST(MotivatingExamples, CostarPopularMovieWins) {
   // Fig. 3: CI-Rank must prefer the popular connecting movie, which BANKS
   // cannot distinguish (see baselines_test).
   CostarExample ex = BuildCostarExample();
-  auto engine = CiRankEngine::Build(ex.dataset.graph);
+  auto engine = CiRankEngine::Builder(ex.dataset.graph).Build();
   ASSERT_TRUE(engine.ok());
 
   Query q = Query::MustParse("bloom wood mortensen");
@@ -71,7 +71,7 @@ TEST(MotivatingExamples, FreeNodeDominationAvoided) {
   // answer T1 above the spurious Tom Hanks path T2, while the avg-all-
   // importance alternative ranks them the other way around.
   FreeNodeDominationExample ex = BuildFreeNodeDominationExample();
-  auto engine = CiRankEngine::Build(ex.dataset.graph);
+  auto engine = CiRankEngine::Builder(ex.dataset.graph).Build();
   ASSERT_TRUE(engine.ok());
 
   Query q = Query::MustParse("wilson cruz");
@@ -108,7 +108,7 @@ TEST(MotivatingExamples, StarBeatsChainUnderRwmp) {
   // the star (all sources two hops apart) must beat the chain (up to four
   // hops) under RWMP, while avg-importance/size cannot separate them.
   StarVsChainExample ex = BuildStarVsChainExample();
-  auto engine = CiRankEngine::Build(ex.dataset.graph);
+  auto engine = CiRankEngine::Builder(ex.dataset.graph).Build();
   ASSERT_TRUE(engine.ok());
 
   Query q = Query::MustParse("alpha beta gamma delta");

@@ -11,7 +11,6 @@
 //      executor under the same ranker.
 //   4. Multi-key ORDER BY is a deterministic total order: any shuffle of a
 //      tied answer list sorts back to the same permutation.
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -27,6 +26,8 @@
 
 namespace cirank {
 namespace {
+
+using testing_util::Fingerprint;
 
 #define ASSERT_OK_AND_MOVE(lhs, rexpr)                     \
   auto lhs##_result = (rexpr);                             \
@@ -50,7 +51,7 @@ TEST(RankerRegistryTest, CoreRankersAreAlwaysRegistered) {
 
 TEST(RankerRegistryTest, UnknownRankerErrorListsRegisteredNames) {
   const Graph graph = testing_util::MakeRandomGraph(/*seed=*/3, 60);
-  ASSERT_OK_AND_MOVE(engine, CiRankEngine::Build(graph));
+  ASSERT_OK_AND_MOVE(engine, CiRankEngine::Builder(graph).Build());
   RankerEnv env{&engine.scorer(), nullptr, {}};
   auto created = RankerRegistry::Global().Create("no-such-ranker", env);
   ASSERT_FALSE(created.ok());
@@ -68,23 +69,9 @@ TEST(RankerRegistryTest, DuplicateRegistrationIsRejected) {
   EXPECT_NE(status.message().find("already registered"), std::string::npos);
 }
 
-// Renders answers into a comparable byte string: bitwise score plus the
-// canonical tree identity. Two runs agree iff this string agrees.
-std::string Fingerprint(const std::vector<RankedAnswer>& answers) {
-  std::string out;
-  for (const RankedAnswer& answer : answers) {
-    char bits[sizeof(double)];
-    std::memcpy(bits, &answer.score, sizeof(double));
-    out.append(bits, sizeof(double));
-    out += answer.tree.CanonicalKey();
-    out.push_back('|');
-  }
-  return out;
-}
-
 TEST(CompositeRankerTest, UnitWeightsAreByteIdenticalToPureRwmp) {
   const Graph graph = testing_util::MakeRandomGraph(/*seed=*/17, 150);
-  ASSERT_OK_AND_MOVE(engine, CiRankEngine::Build(graph));
+  ASSERT_OK_AND_MOVE(engine, CiRankEngine::Builder(graph).Build());
   for (const char* text : {"kw0", "kw0 kw1", "kw1 kw2 kw3"}) {
     const Query query = Query::MustParse(text);
     for (int k : {1, 5, 20}) {
@@ -108,7 +95,7 @@ TEST(CompositeRankerTest, TextTermChangesScoresAtNonzeroWeight) {
   // weighted in, scores must differ somewhere (BM25 is not identically 0
   // on a graph whose nodes carry the query keywords).
   const Graph graph = testing_util::MakeRandomGraph(/*seed=*/17, 150);
-  ASSERT_OK_AND_MOVE(engine, CiRankEngine::Build(graph));
+  ASSERT_OK_AND_MOVE(engine, CiRankEngine::Builder(graph).Build());
   const Query query = Query::MustParse("kw0 kw1");
   ASSERT_OK_AND_MOVE(pure, engine.Search(query, SearchOverrides().WithK(5)));
   ASSERT_OK_AND_MOVE(mixed,
@@ -126,7 +113,7 @@ TEST(CompositeRankerTest, BranchAndBoundMatchesNaiveUnderComposite) {
   // under-estimated, bnb would prune answers the exhaustive naive executor
   // keeps, and the two top-k sets would diverge.
   const Graph graph = testing_util::MakeRandomGraph(/*seed=*/23, 120);
-  ASSERT_OK_AND_MOVE(engine, CiRankEngine::Build(graph));
+  ASSERT_OK_AND_MOVE(engine, CiRankEngine::Builder(graph).Build());
   for (const char* text : {"kw0", "kw0 kw1", "kw0 kw1 kw2"}) {
     const Query query = Query::MustParse(text);
     const SearchOverrides base = SearchOverrides()
@@ -159,7 +146,7 @@ std::vector<size_t> OrderOf(const std::vector<RankedAnswer>& answers,
 
 TEST(OrderByTest, TiedAnswersSortToTheSamePermutationFromAnyShuffle) {
   const Graph graph = testing_util::MakeRandomGraph(/*seed=*/29, 150);
-  ASSERT_OK_AND_MOVE(engine, CiRankEngine::Build(graph));
+  ASSERT_OK_AND_MOVE(engine, CiRankEngine::Builder(graph).Build());
   const Query query = Query::MustParse("kw0 kw1");
   ASSERT_OK_AND_MOVE(answers,
                      engine.Search(query, SearchOverrides().WithK(20)));
@@ -185,7 +172,7 @@ TEST(OrderByTest, TiedAnswersSortToTheSamePermutationFromAnyShuffle) {
 
 TEST(OrderByTest, MultiKeyOrderRespectsEveryKey) {
   const Graph graph = testing_util::MakeRandomGraph(/*seed=*/31, 150);
-  ASSERT_OK_AND_MOVE(engine, CiRankEngine::Build(graph));
+  ASSERT_OK_AND_MOVE(engine, CiRankEngine::Builder(graph).Build());
   const Query query = Query::MustParse("kw0 kw1");
   ASSERT_OK_AND_MOVE(answers,
                      engine.Search(query, SearchOverrides().WithK(20)));

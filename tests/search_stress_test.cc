@@ -24,7 +24,7 @@ using testing_util::ScorerBundle;
 
 TEST(SearchStressTest, BatchSearchRacesFeedbackInvalidation) {
   Graph graph = MakeRandomGraph(17, 60, 4.0);
-  auto built = CiRankEngine::Build(graph);
+  auto built = CiRankEngine::Builder(graph).Build();
   ASSERT_TRUE(built.ok());
   CiRankEngine engine = std::move(built).value();
 

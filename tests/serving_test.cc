@@ -601,12 +601,14 @@ TEST(ServingDiagnosticsTest, DiagnosticsOffIsByteIdenticalToOn) {
   CiRankOptions on;
   on.metrics = &registry;
   on.trace = &collector;
-  ASSERT_OK_AND_MOVE(engine_on, CiRankEngine::Build(graph, on));
+  ASSERT_OK_AND_MOVE(engine_on,
+                     CiRankEngine::Builder(graph).WithOptions(on).Build());
   ASSERT_OK_AND_MOVE(sharded_on, shard::ShardedEngine::Attach(&engine_on));
 
   CiRankOptions off;
   off.metrics_enabled = false;
-  ASSERT_OK_AND_MOVE(engine_off, CiRankEngine::Build(graph, off));
+  ASSERT_OK_AND_MOVE(engine_off,
+                     CiRankEngine::Builder(graph).WithOptions(off).Build());
   ASSERT_OK_AND_MOVE(sharded_off, shard::ShardedEngine::Attach(&engine_off));
 
   for (const char* text : {"kw0", "kw0 kw1", "kw1 kw2 kw3"}) {

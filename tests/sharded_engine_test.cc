@@ -21,6 +21,7 @@ namespace cirank {
 namespace shard {
 namespace {
 
+using testing_util::Fingerprint;
 using testing_util::MakeRandomGraph;
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
@@ -192,6 +193,28 @@ TEST(EngineBuilderTest, BundleSurvivesMoves) {
   BuiltEngine moved = std::move(built).value();
   auto result = moved.sharded->Search(Query::MustParse("kw0 kw1"));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
+}
+
+// The star index is built from the graph before the engine, whose default
+// bound provider it becomes; it changes pruning only, so the answers equal
+// those of an index-free bundle over the same graph.
+TEST(EngineBuilderTest, StarIndexIsTheEngineDefaultBounds) {
+  Graph graph = MakeRandomGraph(19, 30);
+  auto indexed = EngineBuilder().WithGraph(&graph).WithStarIndex(true).Build();
+  auto plain = EngineBuilder().WithGraph(&graph).Build();
+  ASSERT_TRUE(indexed.ok() && plain.ok());
+  ASSERT_NE(indexed->star_index, nullptr) << indexed->star_index_note;
+  EXPECT_EQ(indexed->engine->options().search.bounds,
+            indexed->star_index.get());
+  EXPECT_EQ(plain->star_index, nullptr);
+  EXPECT_EQ(plain->engine->options().search.bounds, nullptr);
+
+  const Query q = Query::MustParse("kw0 kw1");
+  auto with_index = indexed->sharded->Search(q);
+  auto without = plain->sharded->Search(q);
+  ASSERT_TRUE(with_index.ok() && without.ok());
+  EXPECT_FALSE(without->empty());
+  EXPECT_EQ(Fingerprint(*with_index), Fingerprint(*without));
 }
 
 TEST(EngineBuilderTest, InvalidConfigurationsFailClosed) {

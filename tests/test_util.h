@@ -3,6 +3,7 @@
 #ifndef CIRANK_TESTS_TEST_UTIL_H_
 #define CIRANK_TESTS_TEST_UTIL_H_
 
+#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -24,6 +25,20 @@
 
 namespace cirank {
 namespace testing_util {
+
+// Renders answers into a comparable byte string: bitwise score plus the
+// canonical tree identity. Two runs agree iff this string agrees.
+inline std::string Fingerprint(const std::vector<RankedAnswer>& answers) {
+  std::string out;
+  for (const RankedAnswer& answer : answers) {
+    char bits[sizeof(double)];
+    std::memcpy(bits, &answer.score, sizeof(double));
+    out.append(bits, sizeof(double));
+    out += answer.tree.CanonicalKey();
+    out.push_back('|');
+  }
+  return out;
+}
 
 // A random connected-ish graph over one relation. Node text is drawn from a
 // tiny vocabulary ("kw0".."kw{vocab-1}" plus filler words) so keyword

@@ -94,17 +94,6 @@ RAW_OUTPUT_IMPL_FILES = {"src/obs/log.h", "src/obs/log.cc",
 
 RAW_OUTPUT_EXEMPT_PREFIXES = ("tests/", "bench/", "examples/")
 
-# The deprecated one-shot engine factory. New code constructs engines via
-# CiRankEngine::Builder (or shard::EngineBuilder when fronting shards);
-# bench/ and examples/ are the showcase trees, so the old spelling is
-# flagged there. src/core keeps the definition (Builder delegates to it)
-# and tests/ keeps coverage of the legacy path until it is deleted.
-# `Build\s*\(` cannot match `CiRankEngine::Builder(` — the trailing `er`
-# breaks the adjacency — nor chained `.Build()` calls.
-DEPRECATED_ENGINE_FACTORY = re.compile(r"\bCiRankEngine::Build\s*\(")
-
-ENGINE_CONSTRUCTION_PREFIXES = ("bench/", "examples/")
-
 # stdio writers and the iostream globals. \b keeps buffer formatters
 # (snprintf/sprintf) out of scope — they don't touch a stream.
 BANNED_OUTPUT = re.compile(
@@ -440,17 +429,3 @@ def check_using_namespace(analysis, src):
         if USING_NAMESPACE.search(line):
             yield Finding(src.rel, i, "using-namespace",
                           "banned in headers (pollutes every includer)")
-
-
-@rule("engine-construction",
-      "bench/ and examples/ construct engines through CiRankEngine::Builder "
-      "or shard::EngineBuilder; the one-shot CiRankEngine::Build(...) "
-      "factory is deprecated outside src/ and tests/")
-def check_engine_construction(analysis, src):
-    if not src.rel.startswith(ENGINE_CONSTRUCTION_PREFIXES):
-        return
-    for m in DEPRECATED_ENGINE_FACTORY.finditer(src.text):
-        yield Finding(src.rel, src.line_of(m.start()), "engine-construction",
-                      "deprecated CiRankEngine::Build(...); construct via "
-                      "CiRankEngine::Builder(graph).Build(), or "
-                      "shard::EngineBuilder when serving shards")

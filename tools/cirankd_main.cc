@@ -225,8 +225,8 @@ int main(int argc, char** argv) {
   obs::TraceCollector trace(opts.trace_out.empty() ? 4096 : 0);
 
   // One construction surface for everything the daemon used to hand-roll:
-  // dataset generation or graph load, the engine, the star index (and its
-  // build-index-rebuild dance), and the sharded serving facade.
+  // dataset generation or graph load, the star index, the engine, and the
+  // sharded serving facade.
   QueryCacheOptions cache;
   cache.capacity = opts.cache_capacity;
   shard::EngineBuilder builder;
