@@ -1,109 +1,17 @@
-// Candidate-allocation throughput: the per-query Arena that the execution
-// pipeline places candidates into, versus the per-candidate heap allocation
-// it replaced. Two parts:
-//   1. microbenchmark -- construct the same candidate workload (a realistic
-//      Jtt payload each) into a vector<unique_ptr> (old shape) and into an
-//      Arena (new shape), several rounds each, and report allocations/sec;
-//   2. end-to-end -- run the arena-backed branch-and-bound executor on
-//      bench-scale IMDB queries and record its stage stats (arena bytes,
-//      generated/pruned counters) so the JSON ties the micro numbers to a
-//      real search.
+// The per-query arena end to end: run the arena-backed branch-and-bound
+// executor on bench-scale IMDB queries and record its stage stats (arena
+// bytes, generated/pruned counters). Admitted candidates are flat and
+// trivially destructible, so a query's arena is released without running a
+// destructor; the JSON tracks what that arena holds per query.
 #include <cstdio>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "core/bounds.h"
-#include "util/arena.h"
 #include "util/timer.h"
 #include "util/status.h"
 
 namespace cirank {
 namespace {
-
-// The candidate payload the executors actually place: a small tree plus the
-// bookkeeping fields. Built from a template candidate by copy, same work on
-// both sides of the comparison.
-Candidate TemplateCandidate() {
-  Candidate c;
-  c.tree = Jtt::Create(0, {{0, 1}, {0, 2}, {2, 3}}).value();
-  c.covered = 0x3;
-  c.diameter = 2;
-  return c;
-}
-
-struct AllocThroughput {
-  std::vector<double> round_ms;
-  double allocs_per_sec = 0.0;
-};
-
-AllocThroughput HeapRounds(const Candidate& proto, int rounds, int n) {
-  AllocThroughput out;
-  double total_s = 0.0;
-  for (int r = 0; r < rounds; ++r) {
-    Timer t;
-    std::vector<std::unique_ptr<Candidate>> slots;
-    slots.reserve(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      slots.push_back(std::make_unique<Candidate>(proto));
-    }
-    const double s = t.ElapsedSeconds();
-    out.round_ms.push_back(s * 1e3);
-    total_s += s;
-  }
-  out.allocs_per_sec =
-      total_s > 0.0 ? static_cast<double>(rounds) * n / total_s : 0.0;
-  return out;
-}
-
-AllocThroughput ArenaRounds(const Candidate& proto, int rounds, int n) {
-  AllocThroughput out;
-  double total_s = 0.0;
-  for (int r = 0; r < rounds; ++r) {
-    Timer t;
-    Arena arena;
-    std::vector<Candidate*> slots;
-    slots.reserve(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      slots.push_back(arena.New<Candidate>(proto));
-    }
-    const double s = t.ElapsedSeconds();
-    out.round_ms.push_back(s * 1e3);
-    total_s += s;
-  }
-  out.allocs_per_sec =
-      total_s > 0.0 ? static_cast<double>(rounds) * n / total_s : 0.0;
-  return out;
-}
-
-void MicroComparison(bench::BenchReport* report) {
-  const Candidate proto = TemplateCandidate();
-  const int rounds = bench::SmokeMode() ? 3 : 10;
-  const int n = bench::SmokeMode() ? 2000 : 50000;
-
-  // Interleave so neither side systematically benefits from a warmer heap.
-  AllocThroughput heap = HeapRounds(proto, rounds, n);
-  AllocThroughput arena = ArenaRounds(proto, rounds, n);
-
-  const double speedup = heap.allocs_per_sec > 0.0
-                             ? arena.allocs_per_sec / heap.allocs_per_sec
-                             : 0.0;
-  std::printf("candidate allocation, %d rounds x %d candidates:\n", rounds, n);
-  std::printf("  heap  (make_unique per candidate): %12.0f allocs/s\n",
-              heap.allocs_per_sec);
-  std::printf("  arena (bump per candidate):        %12.0f allocs/s\n",
-              arena.allocs_per_sec);
-  std::printf("  arena speedup: %.2fx\n\n", speedup);
-
-  report->AddLatencySeries("heap_round", heap.round_ms);
-  report->AddLatencySeries("arena_round", arena.round_ms);
-  report->AddMetric("heap_allocs_per_sec", heap.allocs_per_sec);
-  report->AddMetric("arena_allocs_per_sec", arena.allocs_per_sec);
-  report->AddMetric("arena_speedup", speedup);
-  report->AddCounter("rounds", rounds);
-  report->AddCounter("candidates_per_round", n);
-}
 
 void EndToEnd(bench::BenchReport* report) {
   bench::BenchSetup setup = bench::MakeImdbSetup(
@@ -148,10 +56,8 @@ void EndToEnd(bench::BenchReport* report) {
 
 int main() {
   cirank::bench::PrintFigureHeader(
-      "Arena pipeline",
-      "candidate allocation: per-query arena vs per-candidate heap");
+      "Arena pipeline", "per-query arena use of the branch-and-bound search");
   cirank::bench::BenchReport report("arena_pipeline");
-  cirank::MicroComparison(&report);
   cirank::EndToEnd(&report);
   return report.Write() ? 0 : 1;
 }

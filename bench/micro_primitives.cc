@@ -83,11 +83,11 @@ BENCHMARK(BM_TreeScore)->Unit(benchmark::kMicrosecond);
 
 void BM_UpperBound(benchmark::State& bench_state) {
   MicroState& s = State();
-  UpperBoundCalculator calc(s.engine->scorer(), s.query, 4, nullptr);
-  Candidate c;
-  c.tree = *s.tree;
-  c.covered = calc.all_keywords_mask();
-  c.diameter = s.tree->Diameter();
+  const QueryNodeTable nodes(s.engine->scorer(), s.query);
+  UpperBoundCalculator calc(s.engine->scorer(), nodes, 4, nullptr);
+  Arena arena;
+  const Candidate c =
+      CandidateFromJtt(*s.tree, s.dataset->graph, nodes, arena);
   for (auto _ : bench_state) {
     benchmark::DoNotOptimize(calc.UpperBound(c));
   }

@@ -1,13 +1,14 @@
 #include "core/bnb_search.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
-#include <map>
 #include <memory>
+#include <optional>
 #include <queue>
-#include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/ranker.h"
 #include "core/shard_hooks.h"
@@ -21,11 +22,12 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // The "bnb" executor: Algorithm 1 decomposed into the pipeline stages.
-// Prepare seeds single-node candidates for every non-free node; Expand runs
-// the pop/grow/merge loop under the Theorem-1 stopping rule; Emit takes the
-// accumulated top-k. Candidates are placed into the per-query arena —
-// stable addresses, one wholesale release at query end — and the frontier
-// and registries hold indices into `slots_`.
+// Prepare builds the query's node table and seeds single-node candidates
+// for every non-free node; Expand runs the pop/grow/merge loop under the
+// Theorem-1 stopping rule; Emit takes the accumulated top-k. Grow and merge
+// results are built in the builder's scratch buffers; only admitted ones
+// are placed into the per-query arena — stable addresses, one wholesale
+// release at query end — and the frontier holds indices into `slots_`.
 class BnbExecutor final : public SearchExecutor {
  public:
   explicit BnbExecutor(const ExecutorEnv& env)
@@ -38,32 +40,26 @@ class BnbExecutor final : public SearchExecutor {
   std::string_view name() const override { return "bnb"; }
 
   Status Prepare(ExecutionContext& ctx) override {
+    nodes_.emplace(scorer_, query_);
+    builder_.emplace(scorer_.model().graph(), *nodes_);
     // The ranker owns all scoring *and* the Theorem-1 bound state; the
     // executor only enumerates. The default "rwmp" ranker delegates to the
     // same TreeScorer / UpperBoundCalculator pair the executor used to own,
     // so the search stays byte-identical.
     CIRANK_ASSIGN_OR_RETURN(
         ranker_, RankerRegistry::Global().Create(
-                     options_.ranker, RankerEnv{&scorer_, &query_, options_}));
-    all_ = (KeywordMask{1} << query_.size()) - 1;
+                     options_.ranker,
+                     RankerEnv{&scorer_, &query_, options_, &*nodes_}));
 
-    // Seed with single-node candidates for every non-free node (line 3-6).
-    const InvertedIndex& index = scorer_.index();
-    std::set<NodeId> seeds;
-    for (const std::string& k : query_.keywords) {
-      for (NodeId v : index.MatchingNodes(k)) seeds.insert(v);
-    }
-    for (NodeId v : seeds) {
+    // Seed with single-node candidates for every non-free node (line 3-6),
+    // in ascending node id.
+    for (NodeId v : nodes_->non_free()) {
       // Sharded sub-search: only seeds inside this shard's scope ball. Every
       // answer tree of diameter ≤ D lies entirely within the scope of the
       // shard owning its minimum node (DESIGN.md §16), so dropping
       // out-of-scope seeds loses nothing globally.
       if (shard_ != nullptr && !shard_->InScope(v)) continue;
-      Candidate c;
-      c.tree = Jtt(v);
-      c.covered = NodeKeywordMask(v, query_, index);
-      c.diameter = 0;
-      Admit(ctx, std::move(c), kInf, /*from_merge=*/false);
+      Admit(ctx, builder_->Seed(v), kInf, /*from_merge=*/false);
       if (ctx.ShouldStop()) break;
     }
     return Status::OK();
@@ -71,11 +67,12 @@ class BnbExecutor final : public SearchExecutor {
 
   Status Expand(ExecutionContext& ctx) override {
     const Graph& graph = scorer_.model().graph();
+    std::vector<NodeId> neighbors;
     while (!queue_.empty()) {
       if (ctx.ShouldStop()) return ctx.stop_status();
       auto [ub, idx] = queue_.top();
       queue_.pop();
-      if (ub < slots_[idx]->upper_bound) continue;  // stale (cannot happen)
+      if (ub < slots_[idx]->c.upper_bound) continue;  // stale (cannot happen)
 
       // Stopping rule (lines 9-11): nothing left can beat — or canonically
       // displace a tie with — the k-th answer. The inequality is strict so
@@ -104,25 +101,22 @@ class BnbExecutor final : public SearchExecutor {
 
       // Tree growing (line 12): every graph neighbor of the root not yet in
       // the tree becomes a new root.
-      const Candidate& c = *slots_[idx];
-      const NodeId root = c.root();
-      std::vector<NodeId> neighbors;
-      for (const Edge& e : graph.out_edges(root)) {
+      const AdmittedCandidate* entry = slots_[idx];
+      const Candidate& c = entry->c;
+      neighbors.clear();
+      for (const Edge& e : graph.out_edges(c.root)) {
         // Sharded sub-search: never grow a tree across the scope boundary —
         // trees crossing it are enumerated (in full) by the shard that owns
         // them.
         if (shard_ != nullptr && !shard_->InScope(e.to)) continue;
-        if (!c.tree.contains(e.to)) neighbors.push_back(e.to);
+        if (!c.contains(e.to)) neighbors.push_back(e.to);
       }
       for (NodeId nb : neighbors) {
         if (ctx.stopped()) break;
-        Candidate grown = GrowCandidate(*slots_[idx], nb, query_,
-                                        scorer_.index());
-        const size_t before = slots_.size();
-        if (Admit(ctx, std::move(grown), audit_bound_[idx],
-                  /*from_merge=*/false)) {
-          MergeClosure(ctx, before);
-        }
+        const AdmittedCandidate* grown =
+            Admit(ctx, builder_->Grow(c, nb), entry->chain_bound,
+                  /*from_merge=*/false);
+        if (grown != nullptr) MergeClosure(ctx, grown);
       }
     }
 
@@ -149,43 +143,38 @@ class BnbExecutor final : public SearchExecutor {
   }
 
  private:
-  struct RegistryEntry {
-    size_t idx;
-    uint32_t non_root_leaves;
-    KeywordMask covered;
-  };
-
-  // Admits a candidate: dedup, score if complete answer, enqueue, register.
+  // Admits the builder's latest result: prune, dedup, bound, score if it
+  // is a complete answer, then place, enqueue and register it. Returns the
+  // arena entry, or null when the candidate was pruned or a duplicate.
   // `ancestor_bound` is the Theorem-1 audit chain bound inherited from the
-  // candidate's grow/merge parents (kInf for seeds); audit_bound_[i] is the
-  // minimum upper bound along slots_[i]'s derivation chain, and every
-  // emitted answer must score within it (Lemma 1) — CIRANK_DCHECK enforces
+  // candidate's grow/merge parents (kInf for seeds); every emitted answer
+  // must score within its chain bound (Lemma 1) — CIRANK_DCHECK enforces
   // that below.
-  bool Admit(ExecutionContext& ctx, Candidate&& c, double ancestor_bound,
-             bool from_merge) {
-    if (c.diameter > options_.max_diameter ||
-        !IsViableCandidate(c, query_, scorer_.index())) {
+  const AdmittedCandidate* Admit(ExecutionContext& ctx, const Candidate& c,
+                                 double ancestor_bound, bool from_merge) {
+    if (c.diameter > options_.max_diameter || !builder_->viable()) {
       ++ctx.stages().candidates_pruned;
-      return false;
+      return nullptr;
     }
-    std::string key = CandidateKey(c);
-    if (!seen_.insert(std::move(key)).second) return false;
+    if (seen_.Find(c) != nullptr) return nullptr;
     ++generated_;
     ++ctx.stages().candidates_generated;
     if (from_merge) ++ctx.stages().candidates_merged;
     // Budget accounting: exhaustion latches the stop flag; the candidate
     // just admitted still completes so the partial state stays consistent.
     (void)ctx.ChargeCandidates(1);
+    CIRANK_DCHECK(ValidateCandidate(c, *nodes_).ok())
+        << ValidateCandidate(c, *nodes_).ToString();
 
-    c.upper_bound = ranker_->UpperBound(c);
-    const double chain_bound = std::min(ancestor_bound, c.upper_bound);
+    const double ub = ranker_->UpperBound(c);
+    const double chain_bound = std::min(ancestor_bound, ub);
 
-    if (c.IsComplete(all_) && c.tree.IsReduced(query_, scorer_.index())) {
+    if (c.IsComplete(nodes_->all_keywords()) && builder_->IsReduced(c)) {
       // Scoring runs on the canonical representative so the stored answer
       // (and its floating-point score) does not depend on which derivation
       // reached this tree first — a precondition for the byte-identical
       // guarantee shared with the parallel executor.
-      Jtt canon = c.tree.Canonicalized();
+      Jtt canon = MaterializeJtt(c).Canonicalized();
       const double score = ranker_->ScoreAnswer(canon, query_);
       CIRANK_DCHECK(score <=
                     chain_bound + 1e-9 * std::max(1.0, std::abs(chain_bound)))
@@ -206,55 +195,43 @@ class BnbExecutor final : public SearchExecutor {
       }
     }
 
-    Candidate* slot = ctx.arena().New<Candidate>(std::move(c));
-    slots_.push_back(slot);
-    audit_bound_.push_back(chain_bound);
-    const size_t idx = slots_.size() - 1;
-    if (slot->upper_bound > 0.0) {
-      queue_.push({slot->upper_bound, idx});
-    }
-    by_root_[slot->root()].push_back(
-        RegistryEntry{idx, NonRootLeafCount(*slot), slot->covered});
-    return true;
+    AdmittedCandidate* entry = ctx.arena().New<AdmittedCandidate>(
+        AdmittedCandidate{PlaceCandidate(c, ctx.arena()), chain_bound});
+    entry->c.upper_bound = ub;
+    seen_.Insert(&entry->c);
+    slots_.push_back(entry);
+    if (ub > 0.0) queue_.push({ub, slots_.size() - 1});
+    by_root_.Append(entry);
+    return entry;
   }
 
   // Merges a freshly admitted candidate against everything registered at its
   // root, cascading so multi-way merges are reachable (closure of Alg. 1's
-  // Smerge step).
-  void MergeClosure(ExecutionContext& ctx, size_t start_idx) {
+  // Smerge step). Each worklist item meets the registry prefix present when
+  // it is popped.
+  void MergeClosure(ExecutionContext& ctx, const AdmittedCandidate* start) {
     const uint32_t max_leaves = static_cast<uint32_t>(query_.size());
-    std::vector<size_t> worklist{start_idx};
+    std::vector<const AdmittedCandidate*> worklist{start};
     while (!worklist.empty()) {
       if (ctx.stopped()) return;
-      const size_t idx = worklist.back();
+      const AdmittedCandidate* me = worklist.back();
       worklist.pop_back();
-      const NodeId root = slots_[idx]->root();
-      const uint32_t my_leaves = NonRootLeafCount(*slots_[idx]);
-      const KeywordMask my_mask = slots_[idx]->covered;
-      // Snapshot: Admit() may grow the registry while we iterate.
-      std::vector<RegistryEntry> partners = by_root_[root];
-      for (const RegistryEntry& other : partners) {
-        if (other.idx == idx) continue;
+      for (const AdmittedCandidate& other : by_root_.At(me->c.root)) {
+        if (&other == me) continue;
         // Fast pre-filters: the merged tree keeps both sides' non-root
         // leaves, so it can only stay viable when their counts fit within
         // |Q|; the strict rule additionally needs coverage growth.
-        if (my_leaves + other.non_root_leaves > max_leaves) continue;
-        if (options_.strict_merge_rule) {
-          const KeywordMask merged_mask = my_mask | other.covered;
-          if (merged_mask == my_mask || merged_mask == other.covered) {
-            continue;
-          }
+        if (me->c.non_root_leaves + other.c.non_root_leaves > max_leaves) {
+          continue;
         }
-        Result<Candidate> merged = MergeCandidates(
-            *slots_[idx], *slots_[other.idx], options_.strict_merge_rule);
-        if (!merged.ok()) continue;
-        const size_t before = slots_.size();
+        const Candidate* merged =
+            builder_->Merge(me->c, other.c, options_.strict_merge_rule);
+        if (merged == nullptr) continue;
         const double parents_bound =
-            std::min(audit_bound_[idx], audit_bound_[other.idx]);
-        if (Admit(ctx, std::move(merged).value(), parents_bound,
-                  /*from_merge=*/true)) {
-          worklist.push_back(before);
-        }
+            std::min(me->chain_bound, other.chain_bound);
+        const AdmittedCandidate* admitted =
+            Admit(ctx, *merged, parents_bound, /*from_merge=*/true);
+        if (admitted != nullptr) worklist.push_back(admitted);
       }
     }
   }
@@ -265,16 +242,17 @@ class BnbExecutor final : public SearchExecutor {
   // Null unless this query is a per-shard sub-search (core/shard_hooks.h).
   const ShardHooks* const shard_;
 
+  std::optional<QueryNodeTable> nodes_;
+  std::optional<CandidateBuilder> builder_;
   std::unique_ptr<Ranker> ranker_;
-  KeywordMask all_ = 0;
 
-  // Arena-placed candidates; the priority queue and root registry hold
-  // indices into slots_.
-  std::vector<Candidate*> slots_;
-  std::vector<double> audit_bound_;
+  // Arena-placed candidates in admission order; the priority queue holds
+  // indices into slots_, so ties in the bound pop the later admission
+  // first.
+  std::vector<AdmittedCandidate*> slots_;
   std::priority_queue<std::pair<double, size_t>> queue_;  // (ub, slot idx)
-  std::map<NodeId, std::vector<RegistryEntry>> by_root_;
-  std::set<std::string> seen_;
+  RootRegistry by_root_;
+  CandidateSet seen_;
   TopKAnswers answers_;
 
   int64_t popped_ = 0;

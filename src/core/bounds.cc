@@ -8,40 +8,15 @@
 
 namespace cirank {
 
-namespace {
-
-// Flows come back in tree-node order, so positional lookup suffices.
-double FlowAt(const std::vector<Flow>& flows, const Jtt& tree, NodeId v) {
-  const size_t i = tree.IndexOf(v);
-  return i == flows.size() ? 0.0 : flows[i].count;
-}
-
-}  // namespace
-
 UpperBoundCalculator::UpperBoundCalculator(const TreeScorer& scorer,
-                                           const Query& query,
+                                           const QueryNodeTable& nodes,
                                            uint32_t max_diameter,
                                            const PairwiseBoundProvider* bounds)
     : scorer_(&scorer),
-      query_(&query),
+      nodes_(&nodes),
       max_diameter_(max_diameter),
       bounds_(bounds),
-      max_dampening_(scorer.model().max_dampening()) {
-  CIRANK_DCHECK(query.size() <= 31);
-  all_mask_ = query.empty()
-                  ? 0
-                  : (KeywordMask{1} << query.size()) - 1;
-
-  const RwmpModel& model = scorer.model();
-  const InvertedIndex& index = scorer.index();
-  keyword_sources_.resize(query.size());
-  for (size_t i = 0; i < query.keywords.size(); ++i) {
-    for (NodeId v : index.MatchingNodes(query.keywords[i])) {
-      const double e = model.Emission(v, query, index);
-      if (e > 0.0) keyword_sources_[i].push_back(SourceInfo{v, e});
-    }
-  }
-}
+      max_dampening_(scorer.model().max_dampening()) {}
 
 double UpperBoundCalculator::IndexTransmissionBound(NodeId from,
                                                     NodeId to) const {
@@ -51,27 +26,36 @@ double UpperBoundCalculator::IndexTransmissionBound(NodeId from,
   return ds <= 1 ? 1.0 : std::pow(max_dampening_, static_cast<double>(ds - 1));
 }
 
-double UpperBoundCalculator::NeighborDampening(NodeId r) const {
-  auto it = neighbor_damp_cache_.find(r);
-  if (it != neighbor_damp_cache_.end()) return it->second;
+double* UpperBoundCalculator::RootMemo(NodeId r) const {
+  bool inserted = false;
+  uint32_t& offset = memo_index_.FindOrInsert(r, &inserted);
+  if (inserted) {
+    offset = static_cast<uint32_t>(memo_.size());
+    memo_.resize(memo_.size() + 2 + nodes_->num_keywords(), kUnset);
+  }
+  return &memo_[offset];
+}
+
+double UpperBoundCalculator::NeighborDampening(NodeId r, double* memo) const {
+  if (memo[0] != kUnset) return memo[0];
   const RwmpModel& model = scorer_->model();
   double best = 0.0;
   for (const Edge& e : model.graph().out_edges(r)) {
     best = std::max(best, model.dampening(e.to));
   }
-  neighbor_damp_cache_[r] = best;
+  memo[0] = best;
   return best;
 }
 
-double UpperBoundCalculator::AttachBound(size_t keyword_idx, NodeId r) const {
-  const auto key = std::make_pair(keyword_idx, r);
-  auto it = attach_cache_.find(key);
-  if (it != attach_cache_.end()) return it->second;
+double UpperBoundCalculator::AttachBound(size_t keyword_idx, NodeId r,
+                                         double* memo) const {
+  double& cached = memo[2 + keyword_idx];
+  if (cached != kUnset) return cached;
 
   const Graph& graph = scorer_->model().graph();
-  const double nb_damp = NeighborDampening(r);
+  const double nb_damp = NeighborDampening(r, memo);
   double best = 0.0;
-  for (const SourceInfo& src : keyword_sources_[keyword_idx]) {
+  for (const QueryNodeTable::Source& src : nodes_->sources(keyword_idx)) {
     if (src.node == r) {
       // The root itself matches the keyword; no transmission needed (its
       // messages are "received" at emission strength).
@@ -86,20 +70,19 @@ double UpperBoundCalculator::AttachBound(size_t keyword_idx, NodeId r) const {
                  IndexTransmissionBound(src.node, r));
     best = std::max(best, src.emission * transmission);
   }
-  attach_cache_[key] = best;
+  cached = best;
   return best;
 }
 
-double UpperBoundCalculator::OutsideBound(NodeId r) const {
-  auto it = outside_cache_.find(r);
-  if (it != outside_cache_.end()) return it->second;
+double UpperBoundCalculator::OutsideBound(NodeId r, double* memo) const {
+  if (memo[1] != kUnset) return memo[1];
 
   const RwmpModel& model = scorer_->model();
   const Graph& graph = model.graph();
-  const double nb_damp = NeighborDampening(r);
+  const double nb_damp = NeighborDampening(r, memo);
   double best = 0.0;
-  for (const auto& sources : keyword_sources_) {
-    for (const SourceInfo& src : sources) {
+  for (size_t k = 0; k < nodes_->num_keywords(); ++k) {
+    for (const QueryNodeTable::Source& src : nodes_->sources(k)) {
       if (src.node == r) continue;
       const double transmission =
           std::min(graph.has_edge(r, src.node) ? 1.0 : nb_damp,
@@ -107,76 +90,137 @@ double UpperBoundCalculator::OutsideBound(NodeId r) const {
       best = std::max(best, transmission * model.dampening(src.node));
     }
   }
-  outside_cache_[r] = best;
+  memo[1] = best;
   return best;
+}
+
+void UpperBoundCalculator::Propagate(uint32_t source, double emission,
+                                     double* post) const {
+  std::fill(post, post + out_weight_.size(), 0.0);
+  post[source] = emission;
+  // Iterative DFS carrying the arrival (pre-dampening) count.
+  stack_.clear();
+  if (out_weight_[source] > 0.0) {
+    for (uint32_t a = arc_begin_[source]; a < arc_begin_[source + 1]; ++a) {
+      stack_.push_back(StackItem{arcs_[a].to, source,
+                                 emission * (arcs_[a].weight /
+                                             out_weight_[source])});
+    }
+  }
+  while (!stack_.empty()) {
+    const StackItem item = stack_.back();
+    stack_.pop_back();
+    // Dampening applies at every node the message passes through or reaches.
+    const double f = item.arrival * damp_[item.node];
+    post[item.node] = f;
+    const double w_total = out_weight_[item.node];
+    if (w_total <= 0.0) continue;
+    for (uint32_t a = arc_begin_[item.node]; a < arc_begin_[item.node + 1];
+         ++a) {
+      if (arcs_[a].to == item.from) continue;  // back-flow is discarded
+      stack_.push_back(
+          StackItem{arcs_[a].to, item.node, f * (arcs_[a].weight / w_total)});
+    }
+  }
 }
 
 double UpperBoundCalculator::UpperBound(const Candidate& c) const {
   ++calls_;
   const RwmpModel& model = scorer_->model();
-  const InvertedIndex& index = scorer_->index();
-  const NodeId r = c.root();
+  const NodeId r = c.root;
+  const uint32_t n = c.size;
 
-  // In-tree sources and their flows.
-  std::vector<SourceInfo> in_tree;
-  for (NodeId v : c.tree.nodes()) {
-    const double e = model.Emission(v, *query_, index);
-    if (e > 0.0) in_tree.push_back(SourceInfo{v, e});
+  // In-tree sources, in node-id order.
+  sources_.clear();
+  emissions_.clear();
+  for (uint32_t i = 0; i < n; ++i) {
+    const double e = nodes_->emission(c.nodes[i]);
+    if (e > 0.0) {
+      sources_.push_back(i);
+      emissions_.push_back(e);
+    }
   }
-  if (in_tree.empty()) return 0.0;
+  if (sources_.empty()) return 0.0;
 
-  std::vector<std::vector<Flow>> flows(in_tree.size());
-  for (size_t i = 0; i < in_tree.size(); ++i) {
-    flows[i] =
-        scorer_->Propagate(c.tree, in_tree[i].node, in_tree[i].emission);
+  // Bounds on the attachment strength of each missing keyword.
+  double* memo = RootMemo(r);
+  attach_.clear();
+  for (size_t k = 0; k < nodes_->num_keywords(); ++k) {
+    if (c.covered & (KeywordMask{1} << k)) continue;
+    const double a = AttachBound(k, r, memo);
+    if (a <= 0.0) return 0.0;  // this keyword can never be supplied
+    attach_.push_back(a);
   }
 
-  // Transmission from a unit arrival at the root to every tree node
-  // (includes the root's own dampening).
-  std::vector<Flow> tau_raw = scorer_->Propagate(c.tree, r, 1.0);
+  // The local tree. Arcs and out-weight sums follow the derivation-edge
+  // order, the order in which Jtt::Create builds adjacency.
+  auto local = [&](NodeId v) {
+    return static_cast<uint32_t>(std::lower_bound(c.nodes, c.nodes + n, v) -
+                                 c.nodes);
+  };
+  arc_begin_.assign(n + 1, 0);
+  out_weight_.assign(n, 0.0);
+  damp_.resize(n);
+  for (uint32_t i = 0; i < n; ++i) damp_[i] = model.dampening(c.nodes[i]);
+  for (const CandidateEdge& e : c.tree_edges()) {
+    ++arc_begin_[local(e.parent) + 1];
+    ++arc_begin_[local(e.child) + 1];
+  }
+  for (uint32_t i = 0; i < n; ++i) arc_begin_[i + 1] += arc_begin_[i];
+  arcs_.resize(2 * (n - 1));
+  arc_fill_.assign(arc_begin_.begin(), arc_begin_.end() - 1);
+  for (const CandidateEdge& e : c.tree_edges()) {
+    const uint32_t p = local(e.parent);
+    const uint32_t ch = local(e.child);
+    arcs_[arc_fill_[p]++] = Arc{ch, e.w_down};
+    arcs_[arc_fill_[ch]++] = Arc{p, e.w_up};
+    out_weight_[p] += e.w_down;
+    out_weight_[ch] += e.w_up;
+  }
+
+  // flows_ row i: source i's flow at every node; the last row is the
+  // transmission from a unit arrival at the root (tau, before the root's
+  // own dampening).
+  const size_t num_sources = sources_.size();
+  flows_.resize((num_sources + 1) * n);
+  for (size_t i = 0; i < num_sources; ++i) {
+    Propagate(sources_[i], emissions_[i], &flows_[i * n]);
+  }
+  const uint32_t root_local = local(r);
+  const double* tau_raw = &flows_[num_sources * n];
+  Propagate(root_local, 1.0, &flows_[num_sources * n]);
   const double d_root = model.dampening(r);
-  auto tau = [&](NodeId d) { return d_root * FlowAt(tau_raw, c.tree, d); };
+  auto tau = [&](uint32_t d) { return d_root * tau_raw[d]; };
+  auto flow = [&](size_t i, uint32_t d) { return flows_[i * n + d]; };
 
   // Factor with which each in-tree source's messages leave the root.
   auto leave_root = [&](size_t i) {
-    return in_tree[i].node == r ? in_tree[i].emission
-                                : FlowAt(flows[i], c.tree, r);
+    return sources_[i] == root_local ? emissions_[i] : flow(i, root_local);
   };
 
-  const bool complete = c.IsComplete(all_mask_);
-
-  // Bounds on the attachment strength of each missing keyword.
-  std::vector<size_t> missing;
-  std::vector<double> attach;
-  for (size_t k = 0; k < query_->size(); ++k) {
-    if (c.covered & (KeywordMask{1} << k)) continue;
-    const double a = AttachBound(k, r);
-    if (a <= 0.0) return 0.0;  // this keyword can never be supplied
-    missing.push_back(k);
-    attach.push_back(a);
-  }
+  const bool complete = c.IsComplete(nodes_->all_keywords());
 
   double best_node_bound = 0.0;
-  for (size_t j = 0; j < in_tree.size(); ++j) {
+  for (size_t j = 0; j < num_sources; ++j) {
     double bound = std::numeric_limits<double>::infinity();
     // Flows from the other in-tree sources can only shrink as the tree
     // grows, and a min over more message types can only drop.
-    for (size_t i = 0; i < in_tree.size(); ++i) {
+    for (size_t i = 0; i < num_sources; ++i) {
       if (i == j) continue;
-      bound = std::min(bound, FlowAt(flows[i], c.tree, in_tree[j].node));
+      bound = std::min(bound, flow(i, sources_[j]));
     }
-    const double tau_j = tau(in_tree[j].node);
-    for (double a : attach) {
+    const double tau_j = tau(sources_[j]);
+    for (double a : attach_) {
       bound = std::min(bound, a * tau_j);
     }
-    if (complete && in_tree.size() == 1) {
+    if (complete && num_sources == 1) {
       // The candidate alone scores its emission; extensions add sources
       // whose flows are bounded by the best attachment over any keyword.
       double any_attach = 0.0;
-      for (size_t k = 0; k < query_->size(); ++k) {
-        any_attach = std::max(any_attach, AttachBound(k, r));
+      for (size_t k = 0; k < nodes_->num_keywords(); ++k) {
+        any_attach = std::max(any_attach, AttachBound(k, r, memo));
       }
-      bound = std::max(in_tree[j].emission, any_attach * tau_j);
+      bound = std::max(emissions_[j], any_attach * tau_j);
     }
     best_node_bound = std::max(best_node_bound, bound);
   }
@@ -185,10 +229,10 @@ double UpperBoundCalculator::UpperBound(const Candidate& c) const {
   // could attain. It receives every in-tree source's messages, so its min
   // flow is bounded by the weakest source's strength at the root.
   double weakest_leave = std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i < in_tree.size(); ++i) {
+  for (size_t i = 0; i < num_sources; ++i) {
     weakest_leave = std::min(weakest_leave, leave_root(i));
   }
-  const double pe = weakest_leave * OutsideBound(r);
+  const double pe = weakest_leave * OutsideBound(r, memo);
 
   return std::max(best_node_bound, pe);
 }

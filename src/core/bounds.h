@@ -15,11 +15,10 @@
 #define CIRANK_CORE_BOUNDS_H_
 
 #include <cstdint>
-#include <map>
-#include <utility>
 #include <vector>
 
 #include "core/candidate.h"
+#include "core/node_map.h"
 #include "core/scorer.h"
 #include "graph/traversal.h"
 
@@ -47,17 +46,25 @@ class PairwiseBoundProvider {
 };
 
 // Computes ub(C) = max(ce(C), pe(C)) for candidates of one query. Holds
-// per-query caches; not thread-safe.
+// per-query scratch buffers and a per-root memo; not thread-safe.
 class UpperBoundCalculator {
  public:
-  // `bounds` may be null (no index); all references must outlive the
-  // calculator. `max_diameter` is the answer-tree diameter limit D.
-  UpperBoundCalculator(const TreeScorer& scorer, const Query& query,
+  // `bounds` may be null (no index). `scorer` and `nodes` are kept by
+  // reference and must outlive the calculator, so temporaries are
+  // rejected. `max_diameter` is the answer-tree diameter limit D.
+  UpperBoundCalculator(const TreeScorer& scorer, const QueryNodeTable& nodes,
                        uint32_t max_diameter,
                        const PairwiseBoundProvider* bounds);
+  UpperBoundCalculator(TreeScorer&&, const QueryNodeTable&, uint32_t,
+                       const PairwiseBoundProvider*) = delete;
+  UpperBoundCalculator(const TreeScorer&, QueryNodeTable&&, uint32_t,
+                       const PairwiseBoundProvider*) = delete;
 
   // Upper bound on the score of any answer tree derivable from `c`.
-  // Returns 0 when some missing keyword provably cannot be supplied.
+  // Returns 0 when some missing keyword provably cannot be supplied. The
+  // in-tree flows are computed exactly as TreeScorer::Propagate computes
+  // them on the candidate's Jtt (same operations in the same order), from
+  // the weights the candidate carries.
   double UpperBound(const Candidate& c) const;
 
   // The index's bound on the max-product transmission from -> to as pruning
@@ -67,41 +74,62 @@ class UpperBoundCalculator {
   // limit; 1 without a provider.
   double IndexTransmissionBound(NodeId from, NodeId to) const;
 
-  KeywordMask all_keywords_mask() const { return all_mask_; }
+  KeywordMask all_keywords_mask() const { return nodes_->all_keywords(); }
 
   // Number of UpperBound() evaluations so far (StageStats::bound_calls).
   int64_t calls() const { return calls_; }
 
  private:
-  struct SourceInfo {
-    NodeId node;
-    double emission;
-  };
-
-  // Max over graph out-neighbors b of r of dampening(b); cached per root.
-  double NeighborDampening(NodeId r) const;
+  // Per-root values, which do not depend on the rest of the candidate:
+  // [0] the max dampening over r's graph out-neighbors, [1] OutsideBound,
+  // [2 + k] AttachBound for keyword k. kUnset until first computed. The
+  // pointer stays valid until a new root is memoized.
+  static constexpr double kUnset = -1.0;
+  double* RootMemo(NodeId r) const;
+  double NeighborDampening(NodeId r, double* memo) const;
 
   // Max over x in En(k) of emission(x) * (bound on transmission x -> r).
-  double AttachBound(size_t keyword_idx, NodeId r) const;
+  double AttachBound(size_t keyword_idx, NodeId r, double* memo) const;
 
   // Max over x in En(Q) of (bound on transmission r -> x) * dampening(x).
-  double OutsideBound(NodeId r) const;
+  double OutsideBound(NodeId r, double* memo) const;
+
+  // Post-dampening flow at every local node of emission units leaving
+  // local node `source`: TreeScorer::Propagate over the local tree.
+  void Propagate(uint32_t source, double emission, double* post) const;
 
   const TreeScorer* scorer_;
-  const Query* query_;
+  const QueryNodeTable* nodes_;
   uint32_t max_diameter_;
   const PairwiseBoundProvider* bounds_;  // nullable
   double max_dampening_;                 // of the scorer's model
-  KeywordMask all_mask_ = 0;
 
-  // En(k) with emissions, per keyword index.
-  std::vector<std::vector<SourceInfo>> keyword_sources_;
-
-  // Per-root values: they do not depend on the rest of the candidate.
-  mutable std::map<NodeId, double> neighbor_damp_cache_;
-  mutable std::map<std::pair<size_t, NodeId>, double> attach_cache_;
-  mutable std::map<NodeId, double> outside_cache_;
+  mutable NodeMap<uint32_t> memo_index_;  // root -> offset into memo_
+  mutable std::vector<double> memo_;
   mutable int64_t calls_ = 0;
+
+  // The current candidate as a local tree over indices into its sorted
+  // node array: adjacency in derivation-edge order with the directed
+  // weight, summed out-weights and dampening per node.
+  struct Arc {
+    uint32_t to;
+    double weight;
+  };
+  struct StackItem {
+    uint32_t node;
+    uint32_t from;
+    double arrival;
+  };
+  mutable std::vector<uint32_t> arc_begin_;  // CSR offsets, n + 1
+  mutable std::vector<uint32_t> arc_fill_;
+  mutable std::vector<Arc> arcs_;
+  mutable std::vector<double> out_weight_;
+  mutable std::vector<double> damp_;
+  mutable std::vector<uint32_t> sources_;  // local indices, ascending
+  mutable std::vector<double> emissions_;
+  mutable std::vector<double> flows_;  // sources_.size() + 1 rows of size n
+  mutable std::vector<StackItem> stack_;
+  mutable std::vector<double> attach_;
 };
 
 }  // namespace cirank

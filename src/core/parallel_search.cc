@@ -4,12 +4,11 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <memory>
+#include <optional>
 #include <queue>
-#include <set>
-#include <string>
 #include <utility>
+#include <vector>
 
 #include "core/ranker.h"
 #include "core/topk.h"
@@ -22,30 +21,16 @@ namespace cirank {
 
 namespace {
 
-constexpr size_t kNotAdmitted = static_cast<size_t>(-1);
-
-// One admitted candidate, placed into the per-query arena (stable address;
-// wholesale release at query end). The chain bound is the Theorem-1 audit
-// value (minimum upper bound along the grow/merge derivation), and the leaf
-// count is cached for the merge pre-filter.
-struct ArenaEntry {
-  Candidate c;
-  double chain_bound = 0.0;
-  uint32_t non_root_leaves = 0;
-};
-
-struct RegistryEntry {
-  size_t idx;
-  uint32_t non_root_leaves;
-  KeywordMask covered;
-};
-
 // Everything the workers share. Container *structure* (indexing, push_back,
-// queue ops) and arena allocation are only touched under `mu` — the
-// CIRANK_GUARDED_BY annotations make the `tsa` preset prove it. The
-// Candidate payloads are immutable after admission, so workers read them
-// through stable arena pointers outside the lock (the ArenaEntry* values
-// escape the capability on purpose; the *vector* of slots does not).
+// queue ops, dedup and registry updates) and arena allocation are only
+// touched under `mu` — the CIRANK_GUARDED_BY annotations make the `tsa`
+// preset prove it. A candidate is placed into the arena and entered into
+// the dedup set under the first lock of its admission, so any later
+// duplicate compares against its arrays; its bound and chain bound are
+// written under the second lock, which publishes it. Published entries are
+// immutable, so workers read them through stable arena pointers outside
+// the lock (the AdmittedCandidate* values escape the capability on
+// purpose; the *vector* of slots does not).
 struct SharedState {
   explicit SharedState(size_t k) : answers(k) {}
 
@@ -56,9 +41,9 @@ struct SharedState {
   CondVar cv;
   std::priority_queue<std::pair<double, size_t>> queue
       CIRANK_GUARDED_BY(mu);  // (ub, slot idx)
-  std::vector<ArenaEntry*> slots CIRANK_GUARDED_BY(mu);
-  std::map<NodeId, std::vector<RegistryEntry>> by_root CIRANK_GUARDED_BY(mu);
-  std::set<std::string> seen CIRANK_GUARDED_BY(mu);
+  std::vector<AdmittedCandidate*> slots CIRANK_GUARDED_BY(mu);
+  RootRegistry by_root CIRANK_GUARDED_BY(mu);
+  CandidateSet seen CIRANK_GUARDED_BY(mu);
   TopKAnswers answers CIRANK_GUARDED_BY(mu);
 
   // Workers currently expanding a popped candidate.
@@ -77,37 +62,45 @@ struct SharedState {
 };
 
 // Per-thread search context: owns a private Ranker (the rwmp ranker's
-// bound-state memo caches are not thread-safe) and runs the pop/expand loop
-// against the shared state under the query's ExecutionContext.
+// bound-state memo is not thread-safe) and a private CandidateBuilder, and
+// runs the pop/expand loop against the shared state under the query's
+// ExecutionContext. The node table is shared read-only.
 class Worker {
  public:
   Worker(SharedState* shared, ExecutionContext* ctx, const TreeScorer* scorer,
-         const Query* query, const SearchOptions* options,
-         std::unique_ptr<Ranker> ranker)
+         const Query* query, const QueryNodeTable* nodes,
+         const SearchOptions* options, std::unique_ptr<Ranker> ranker)
       : s_(shared),
         ctx_(ctx),
-        scorer_(scorer),
         query_(query),
+        nodes_(nodes),
         options_(options),
-        ranker_(std::move(ranker)),
-        all_((KeywordMask{1} << query->size()) - 1) {}
+        graph_(&scorer->model().graph()),
+        builder_(*graph_, *nodes),
+        ranker_(std::move(ranker)) {}
 
   int64_t bound_calls() const { return ranker_->bound_calls(); }
 
-  // Admits a candidate into the shared state. The dedup insert runs first
-  // (short lock) so exactly one worker pays for the bound/score computation
-  // of any candidate; the heavy work then runs unlocked, and a second lock
-  // publishes the result. Returns the slot index, or kNotAdmitted.
-  size_t TryAdmit(Candidate&& c, double ancestor_bound, bool from_merge) {
-    if (c.diameter > options_->max_diameter ||
-        !IsViableCandidate(c, *query_, scorer_->index())) {
+  CandidateBuilder& builder() { return builder_; }
+
+  // Admits the builder's latest result into the shared state. The dedup
+  // lookup and the arena placement run first (short lock) so exactly one
+  // worker pays for the bound/score computation of any candidate; the
+  // heavy work then runs unlocked, and a second lock publishes the result.
+  // Returns the arena entry, or null when pruned or a duplicate.
+  const AdmittedCandidate* TryAdmit(const Candidate& c, double ancestor_bound,
+                                    bool from_merge) {
+    if (c.diameter > options_->max_diameter || !builder_.viable()) {
       s_->pruned.fetch_add(1, std::memory_order_relaxed);
-      return kNotAdmitted;
+      return nullptr;
     }
-    std::string key = CandidateKey(c);
+    AdmittedCandidate* entry;
     {
       MutexLock lk(s_->mu);
-      if (!s_->seen.insert(std::move(key)).second) return kNotAdmitted;
+      if (s_->seen.Find(c) != nullptr) return nullptr;
+      entry = ctx_->arena().New<AdmittedCandidate>(
+          AdmittedCandidate{PlaceCandidate(c, ctx_->arena())});
+      s_->seen.Insert(&entry->c);
       ++s_->generated;
       if (from_merge) ++s_->merged;
     }
@@ -115,17 +108,18 @@ class Worker {
     // workers observe it); the candidate just admitted still completes so
     // the partial state stays consistent.
     (void)ctx_->ChargeCandidates(1);
+    CIRANK_DCHECK(ValidateCandidate(c, *nodes_).ok())
+        << ValidateCandidate(c, *nodes_).ToString();
 
-    c.upper_bound = ranker_->UpperBound(c);
-    const double chain_bound = std::min(ancestor_bound, c.upper_bound);
-    const uint32_t leaves = NonRootLeafCount(c);
+    const double ub = ranker_->UpperBound(c);
+    const double chain_bound = std::min(ancestor_bound, ub);
 
     Jtt canon;
     double score = 0.0;
     bool complete = false;
-    if (c.IsComplete(all_) && c.tree.IsReduced(*query_, scorer_->index())) {
+    if (c.IsComplete(nodes_->all_keywords()) && builder_.IsReduced(c)) {
       complete = true;
-      canon = c.tree.Canonicalized();
+      canon = MaterializeJtt(c).Canonicalized();
       score = ranker_->ScoreAnswer(canon, *query_);
       CIRANK_DCHECK(score <=
                     chain_bound + 1e-9 * std::max(1.0, std::abs(chain_bound)))
@@ -134,88 +128,70 @@ class Worker {
           << " above its derivation-chain bound " << chain_bound;
     }
 
-    const NodeId root = c.root();
-    const KeywordMask covered = c.covered;
-    const double ub = c.upper_bound;
     MutexLock lk(s_->mu);
     if (complete && s_->answers.Offer(std::move(canon), score)) {
       ++s_->answers_found;
     }
-    ArenaEntry* entry =
-        ctx_->arena().New<ArenaEntry>(ArenaEntry{std::move(c), chain_bound,
-                                                 leaves});
+    entry->c.upper_bound = ub;
+    entry->chain_bound = chain_bound;
     s_->slots.push_back(entry);
-    const size_t idx = s_->slots.size() - 1;
     if (ub > 0.0) {
-      s_->queue.push({ub, idx});
+      s_->queue.push({ub, s_->slots.size() - 1});
       s_->cv.NotifyOne();  // work arrived; wake one idle worker
     }
-    s_->by_root[root].push_back(RegistryEntry{idx, leaves, covered});
-    return idx;
+    s_->by_root.Append(entry);
+    return entry;
   }
 
   // Closure of Alg. 1's Smerge step over the newly admitted candidate, as
-  // in the serial search: merge against a snapshot of the co-rooted
-  // registry, cascading over freshly created merges.
-  void MergeClosure(size_t start_idx) {
+  // in the serial search: merge against the co-rooted registry prefix
+  // present when each worklist item is popped, cascading over freshly
+  // created merges.
+  void MergeClosure(const AdmittedCandidate* start) {
     const uint32_t max_leaves = static_cast<uint32_t>(query_->size());
-    std::vector<size_t> worklist{start_idx};
+    std::vector<const AdmittedCandidate*> worklist{start};
     while (!worklist.empty()) {
       if (ctx_->stopped()) return;
-      const size_t idx = worklist.back();
+      const AdmittedCandidate* me = worklist.back();
       worklist.pop_back();
-      const ArenaEntry* me;
-      std::vector<RegistryEntry> partners;
-      {
+      RootRegistry::Prefix partners = [&] {
         MutexLock lk(s_->mu);
-        me = s_->slots[idx];
-        partners = s_->by_root[me->c.root()];
-      }
-      for (const RegistryEntry& other : partners) {
-        if (other.idx == idx) continue;
-        if (me->non_root_leaves + other.non_root_leaves > max_leaves) continue;
-        if (options_->strict_merge_rule) {
-          const KeywordMask merged_mask = me->c.covered | other.covered;
-          if (merged_mask == me->c.covered || merged_mask == other.covered) {
-            continue;
-          }
+        return s_->by_root.At(me->c.root);
+      }();
+      for (const AdmittedCandidate& other : partners) {
+        if (&other == me) continue;
+        if (me->c.non_root_leaves + other.c.non_root_leaves > max_leaves) {
+          continue;
         }
-        const ArenaEntry* oe;
-        {
-          MutexLock lk(s_->mu);
-          oe = s_->slots[other.idx];
-        }
-        Result<Candidate> merged =
-            MergeCandidates(me->c, oe->c, options_->strict_merge_rule);
-        if (!merged.ok()) continue;
+        const Candidate* merged =
+            builder_.Merge(me->c, other.c, options_->strict_merge_rule);
+        if (merged == nullptr) continue;
         const double parents_bound =
-            std::min(me->chain_bound, oe->chain_bound);
-        const size_t nidx = TryAdmit(std::move(merged).value(), parents_bound,
-                                     /*from_merge=*/true);
-        if (nidx != kNotAdmitted) worklist.push_back(nidx);
+            std::min(me->chain_bound, other.chain_bound);
+        const AdmittedCandidate* admitted =
+            TryAdmit(*merged, parents_bound, /*from_merge=*/true);
+        if (admitted != nullptr) worklist.push_back(admitted);
       }
     }
   }
 
   // Grow step for one popped candidate (runs unlocked; `e` is a stable
   // arena pointer).
-  void ExpandCandidate(const ArenaEntry* e) {
-    const Graph& graph = scorer_->model().graph();
-    const NodeId root = e->c.root();
-    std::vector<NodeId> neighbors;
-    for (const Edge& edge : graph.out_edges(root)) {
-      if (!e->c.tree.contains(edge.to)) neighbors.push_back(edge.to);
+  void ExpandCandidate(const AdmittedCandidate* e) {
+    neighbors_.clear();
+    for (const Edge& edge : graph_->out_edges(e->c.root)) {
+      if (!e->c.contains(edge.to)) neighbors_.push_back(edge.to);
     }
-    for (NodeId nb : neighbors) {
+    for (NodeId nb : neighbors_) {
       if (ctx_->stopped()) return;
-      Candidate grown = GrowCandidate(e->c, nb, *query_, scorer_->index());
-      const size_t idx = TryAdmit(std::move(grown), e->chain_bound,
-                                  /*from_merge=*/false);
-      if (idx != kNotAdmitted) MergeClosure(idx);
+      const AdmittedCandidate* grown =
+          TryAdmit(builder_.Grow(e->c, nb), e->chain_bound,
+                   /*from_merge=*/false);
+      if (grown != nullptr) MergeClosure(grown);
     }
   }
 
-  // The pop/expand loop. Termination: the queue is empty (or wholly
+// The pop/expand loop. Termination: the queue is empty (or wholly
   // prunable/stopped, which empties it) AND no worker is mid-expansion —
   // only then can no new work appear. Workers otherwise sleep on the cv and
   // are woken by queue pushes or by the last in-flight expansion finishing.
@@ -264,7 +240,7 @@ class Worker {
       CIRANK_DCHECK(ub == s_->slots[idx]->c.upper_bound);
       ++s_->popped;
       ++s_->in_flight;
-      const ArenaEntry* e = s_->slots[idx];
+      const AdmittedCandidate* e = s_->slots[idx];
       s_->mu.Unlock();
       ExpandCandidate(e);
       s_->mu.Lock();
@@ -276,11 +252,13 @@ class Worker {
  private:
   SharedState* s_;
   ExecutionContext* ctx_;
-  const TreeScorer* scorer_;
   const Query* query_;
+  const QueryNodeTable* nodes_;
   const SearchOptions* options_;
+  const Graph* graph_;
+  CandidateBuilder builder_;
   std::unique_ptr<Ranker> ranker_;
-  KeywordMask all_;
+  std::vector<NodeId> neighbors_;
 };
 
 // The "parallel" executor. Prepare builds one Worker per thread and seeds
@@ -300,6 +278,7 @@ class ParallelBnbExecutor final : public SearchExecutor {
 
   Status Prepare(ExecutionContext& ctx) override {
     ctx_ = &ctx;
+    nodes_.emplace(scorer_, query_);
     workers_.reserve(static_cast<size_t>(options_.num_threads));
     for (int i = 0; i < options_.num_threads; ++i) {
       // One ranker per worker: ranker instances are not thread-safe (the
@@ -309,9 +288,11 @@ class ParallelBnbExecutor final : public SearchExecutor {
       CIRANK_ASSIGN_OR_RETURN(
           std::unique_ptr<Ranker> ranker,
           RankerRegistry::Global().Create(
-              options_.ranker, RankerEnv{&scorer_, &query_, options_}));
+              options_.ranker,
+              RankerEnv{&scorer_, &query_, options_, &*nodes_}));
       workers_.push_back(std::make_unique<Worker>(
-          &shared_, &ctx, &scorer_, &query_, &options_, std::move(ranker)));
+          &shared_, &ctx, &scorer_, &query_, &*nodes_, &options_,
+          std::move(ranker)));
     }
 
     // Seed with single-node candidates for every non-free node, exactly as
@@ -319,17 +300,9 @@ class ParallelBnbExecutor final : public SearchExecutor {
     // trigger yet; running this before the pool starts keeps it
     // single-threaded.
     constexpr double kInf = std::numeric_limits<double>::infinity();
-    const InvertedIndex& index = scorer_.index();
-    std::set<NodeId> seeds;
-    for (const std::string& k : query_.keywords) {
-      for (NodeId v : index.MatchingNodes(k)) seeds.insert(v);
-    }
-    for (NodeId v : seeds) {
-      Candidate c;
-      c.tree = Jtt(v);
-      c.covered = NodeKeywordMask(v, query_, index);
-      c.diameter = 0;
-      workers_[0]->TryAdmit(std::move(c), kInf, /*from_merge=*/false);
+    Worker& seeder = *workers_[0];
+    for (NodeId v : nodes_->non_free()) {
+      seeder.TryAdmit(seeder.builder().Seed(v), kInf, /*from_merge=*/false);
       if (ctx.ShouldStop()) break;
     }
     return Status::OK();
@@ -378,6 +351,7 @@ class ParallelBnbExecutor final : public SearchExecutor {
   const Query& query_;
   const SearchOptions options_;
   ExecutionContext* ctx_ = nullptr;
+  std::optional<QueryNodeTable> nodes_;
   SharedState shared_;
   std::vector<std::unique_ptr<Worker>> workers_;
 };

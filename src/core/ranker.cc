@@ -45,7 +45,7 @@ class RwmpRanker final : public Ranker {
  public:
   explicit RwmpRanker(const RankerEnv& env) : scorer_(env.scorer) {
     if (env.query != nullptr) {
-      calc_.emplace(*env.scorer, *env.query, env.options.max_diameter,
+      calc_.emplace(*env.scorer, *env.nodes, env.options.max_diameter,
                     env.options.bounds);
     }
   }
@@ -85,7 +85,7 @@ class CompositeTextRanker final : public Ranker {
         w_rwmp_(env.options.composite_rwmp_weight),
         w_text_(env.options.composite_text_weight) {
     if (env.query != nullptr) {
-      calc_.emplace(*env.scorer, *env.query, env.options.max_diameter,
+      calc_.emplace(*env.scorer, *env.nodes, env.options.max_diameter,
                     env.options.bounds);
       if (w_text_ != 0.0) {
         const InvertedIndex& index = env.scorer->index();
@@ -210,6 +210,9 @@ Status ValidateRankerEnv(const RankerEnv& env) {
   if (env.scorer == nullptr) {
     return Status::InvalidArgument("ranker env missing scorer");
   }
+  if (env.query != nullptr && env.nodes == nullptr) {
+    return Status::InvalidArgument("ranker env has a query but no node table");
+  }
   return Status::OK();
 }
 
@@ -225,10 +228,6 @@ Result<std::unique_ptr<Ranker>> MakeBuiltin(const RankerEnv& env) {
 double Ranker::UpperBound(const Candidate& c) const {
   (void)c;
   return kInf;
-}
-
-double DelegatingRanker::UpperBound(const Candidate& c) const {
-  return bound_ != nullptr ? bound_(c) : kInf;
 }
 
 double Bm25TextScore(const InvertedIndex& index, const Jtt& tree,

@@ -64,11 +64,14 @@ class Ranker {
 // every ranking function reads). A null `query` skips per-query bound state:
 // the ranker scores answers but reports the default +infinity bound — the
 // right mode for pool scoring and the eval sweeps, where UpperBound is never
-// consulted. The pointees must outlive the ranker.
+// consulted. With a query, `nodes` must be the executor's node table for it
+// (keyword masks, emissions and keyword sources, core/candidate.h), which
+// the bound reads. The pointees must outlive the ranker.
 struct RankerEnv {
   const TreeScorer* scorer = nullptr;
   const Query* query = nullptr;
   SearchOptions options;
+  const QueryNodeTable* nodes = nullptr;
 };
 
 // Name → factory map, the same implementation as ExecutorRegistry
@@ -89,25 +92,20 @@ using RankerFactory = RankerRegistry::Factory;
 class DelegatingRanker final : public Ranker {
  public:
   using ScoreFn = std::function<double(const Jtt&, const Query&)>;
-  using BoundFn = std::function<double(const Candidate&)>;
 
-  // `bound` may be null (default +infinity bound). `score` must be
-  // deterministic, per the Ranker contract.
-  DelegatingRanker(std::string name, ScoreFn score, BoundFn bound = nullptr)
-      : name_(std::move(name)),
-        score_(std::move(score)),
-        bound_(std::move(bound)) {}
+  // `score` must be deterministic, per the Ranker contract. The bound is
+  // the default +infinity.
+  DelegatingRanker(std::string name, ScoreFn score)
+      : name_(std::move(name)), score_(std::move(score)) {}
 
   std::string_view name() const override { return name_; }
   double ScoreAnswer(const Jtt& tree, const Query& query) const override {
     return score_(tree, query);
   }
-  double UpperBound(const Candidate& c) const override;
 
  private:
   std::string name_;
   ScoreFn score_;
-  BoundFn bound_;
 };
 
 // The BM25 text component of the "rwmp_x_text" composite: for each keyword,

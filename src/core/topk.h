@@ -1,11 +1,13 @@
 // Shared support for the top-k searches (serial and parallel): the top-k
-// answer accumulator and the candidate identity key. Kept in one header so
-// both search implementations provably apply identical dedup and
+// answer accumulator, the arena entry of an admitted candidate and the
+// per-root merge registry. Kept in one header so both search
+// implementations provably apply identical dedup, merge-order and
 // tie-breaking rules — the differential test suite depends on that.
 #ifndef CIRANK_CORE_TOPK_H_
 #define CIRANK_CORE_TOPK_H_
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <string>
 #include <utility>
@@ -13,15 +15,88 @@
 
 #include "core/bnb_search.h"
 #include "core/candidate.h"
+#include "core/node_map.h"
 #include "util/check.h"
 
 namespace cirank {
 
-// Identity of a candidate inside the search: the root matters because the
-// same underlying tree rooted differently offers different expansions.
-inline std::string CandidateKey(const Candidate& c) {
-  return std::to_string(c.root()) + "|" + c.tree.CanonicalKey();
-}
+// One admitted candidate, placed in the per-query arena (stable address,
+// released wholesale at query end; trivially destructible, so the release
+// runs no destructor). `chain_bound` is the Theorem-1 audit value: the
+// minimum upper bound along the candidate's grow/merge derivation, within
+// which every answer derived from it must score (Lemma 1).
+// `next_same_root` links RootRegistry's chain.
+struct AdmittedCandidate {
+  Candidate c;
+  double chain_bound = 0.0;
+  const AdmittedCandidate* next_same_root = nullptr;
+};
+
+// The merge partners of Alg. 1's Smerge step: admitted candidates grouped
+// by root, each group in admission order, chained through the arena
+// entries. A merge pass takes a Prefix — the group as it stands when the
+// pass starts — and walks exactly that many entries, so merges admitted
+// during the walk are not revisited and nothing is copied. Not
+// thread-safe: the parallel executor calls Append and At under its shared
+// mutex, and walks a prefix without it, which is safe because a link is
+// written once, under the mutex, before the entry it points to is
+// published.
+class RootRegistry {
+ public:
+  class Prefix {
+   public:
+    class Iterator {
+     public:
+      Iterator(const AdmittedCandidate* e, uint32_t left) : e_(e), left_(left) {}
+      const AdmittedCandidate& operator*() const { return *e_; }
+      Iterator& operator++() {
+        // The last entry's link may still be written by an Append.
+        if (--left_ > 0) e_ = e_->next_same_root;
+        return *this;
+      }
+      bool operator!=(const Iterator& o) const { return left_ != o.left_; }
+
+     private:
+      const AdmittedCandidate* e_;
+      uint32_t left_;
+    };
+
+    Prefix(const AdmittedCandidate* first, uint32_t count)
+        : first_(first), count_(count) {}
+    Iterator begin() const { return Iterator(first_, count_); }
+    Iterator end() const { return Iterator(nullptr, 0); }
+
+   private:
+    const AdmittedCandidate* first_;
+    uint32_t count_;
+  };
+
+  void Append(AdmittedCandidate* e) {
+    bool inserted = false;
+    Chain& chain = chains_.FindOrInsert(e->c.root, &inserted);
+    if (inserted) {
+      chain.first = e;
+    } else {
+      chain.last->next_same_root = e;
+    }
+    chain.last = e;
+    ++chain.count;
+  }
+
+  Prefix At(NodeId root) const {
+    const Chain* chain = chains_.Find(root);
+    return chain == nullptr ? Prefix(nullptr, 0)
+                            : Prefix(chain->first, chain->count);
+  }
+
+ private:
+  struct Chain {
+    AdmittedCandidate* first = nullptr;
+    AdmittedCandidate* last = nullptr;
+    uint32_t count = 0;
+  };
+  NodeMap<Chain> chains_;
+};
 
 // Maintains the current top-k answers, deduplicated by canonical tree key
 // and ordered by (score descending, canonical key ascending). NOT

@@ -35,10 +35,6 @@ void Arena::AddBlock(size_t min_bytes) {
 }
 
 void Arena::Reset() {
-  for (auto it = cleanups_.rbegin(); it != cleanups_.rend(); ++it) {
-    it->destroy(it->object);
-  }
-  cleanups_.clear();
   for (const Block& b : blocks_) ::operator delete(b.data);
   blocks_.clear();
   cursor_ = nullptr;

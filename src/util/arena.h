@@ -1,16 +1,16 @@
 // Monotonic arena allocator for per-query scratch state. The search
 // pipeline creates one Arena per query (owned by ExecutionContext) and
-// places candidate trees, frontier entries, and scratch JTTs into it;
+// places admitted candidates, with their node and edge arrays, into it;
 // everything is released wholesale when the query ends instead of paying a
-// heap round-trip per node. Objects whose type is not trivially
-// destructible are tracked on a cleanup list and destroyed (in reverse
-// allocation order) by Reset()/the destructor, so arena-placed values may
-// own ordinary heap members (std::vector, std::string) without leaking.
+// heap round-trip per candidate. Only trivially destructible values may be
+// placed (New and AllocateArray static_assert it), so releasing a query's
+// state frees a handful of blocks and runs no destructor: a per-query
+// teardown cost cannot creep back without a compile error.
 //
 // Thread-safety: none. The serial executors use the arena freely; the
 // parallel executor confines every allocation to its shared-state mutex
-// (candidate payloads are built outside the lock and moved into the arena
-// slot under it, so the critical section stays short).
+// (candidates are built in per-worker scratch buffers outside the lock and
+// copied into the arena under it, so the critical section stays short).
 #ifndef CIRANK_UTIL_ARENA_H_
 #define CIRANK_UTIL_ARENA_H_
 
@@ -41,23 +41,17 @@ class Arena {
   // power of two. Zero-byte requests return a unique non-null pointer.
   void* Allocate(size_t bytes, size_t align = alignof(std::max_align_t));
 
-  // Constructs a T inside the arena. Non-trivially-destructible types are
-  // registered for destruction at Reset(); trivially destructible ones cost
-  // nothing beyond the bump.
+  // Constructs a T inside the arena. T must be trivially destructible: the
+  // arena never runs destructors.
   template <typename T, typename... Args>
   T* New(Args&&... args) {
+    static_assert(std::is_trivially_destructible_v<T>,
+                  "Arena::New requires a trivially destructible T");
     void* slot = Allocate(sizeof(T), alignof(T));
-    T* obj = ::new (slot) T(std::forward<Args>(args)...);
-    if constexpr (!std::is_trivially_destructible_v<T>) {
-      cleanups_.push_back(Cleanup{obj, [](void* p) {
-                                    static_cast<T*>(p)->~T();
-                                  }});
-    }
-    return obj;
+    return ::new (slot) T(std::forward<Args>(args)...);
   }
 
-  // Uninitialized array of `n` Ts (T must be trivially destructible — the
-  // cleanup list tracks single objects only).
+  // Uninitialized array of `n` Ts (T must be trivially destructible).
   template <typename T>
   T* AllocateArray(size_t n) {
     static_assert(std::is_trivially_destructible_v<T>,
@@ -65,8 +59,7 @@ class Arena {
     return static_cast<T*>(Allocate(n * sizeof(T), alignof(T)));
   }
 
-  // Destroys registered objects (reverse allocation order) and releases
-  // every block. The arena is reusable afterwards.
+  // Releases every block. The arena is reusable afterwards.
   void Reset();
 
   // Total bytes handed out to callers (excludes block slack).
@@ -82,10 +75,6 @@ class Arena {
     char* data = nullptr;
     size_t size = 0;
   };
-  struct Cleanup {
-    void* object;
-    void (*destroy)(void*);
-  };
 
   // Adds a block of at least `min_bytes` payload and points the bump cursor
   // at it.
@@ -93,7 +82,6 @@ class Arena {
 
   size_t block_bytes_;
   std::vector<Block> blocks_;
-  std::vector<Cleanup> cleanups_;
   char* cursor_ = nullptr;
   char* limit_ = nullptr;
   size_t bytes_used_ = 0;

@@ -1,12 +1,9 @@
 // Unit tests for the monotonic per-query Arena (util/arena.h): alignment,
-// accounting, cleanup ordering for non-trivially-destructible payloads,
-// oversized allocations, and reuse across Reset().
+// accounting, oversized allocations, and reuse across Reset().
 #include "util/arena.h"
 
 #include <cstdint>
 #include <set>
-#include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -56,44 +53,6 @@ TEST(ArenaTest, OversizedAllocationGetsDedicatedBlock) {
   big[0] = 'a';
   big[(1 << 20) - 1] = 'z';
   EXPECT_GE(arena.bytes_reserved(), static_cast<size_t>(1 << 20));
-}
-
-struct DtorRecorder {
-  explicit DtorRecorder(int id, std::vector<int>* log) : id(id), log(log) {}
-  ~DtorRecorder() { log->push_back(id); }
-  int id;
-  std::vector<int>* log;
-};
-
-TEST(ArenaTest, ResetDestroysInReverseAllocationOrder) {
-  std::vector<int> log;
-  {
-    Arena arena;
-    for (int i = 0; i < 4; ++i) (void)arena.New<DtorRecorder>(i, &log);
-    arena.Reset();
-    EXPECT_EQ(log, (std::vector<int>{3, 2, 1, 0}));
-    // Reset must not double-destroy on arena destruction.
-    log.clear();
-  }
-  EXPECT_TRUE(log.empty());
-}
-
-TEST(ArenaTest, DestructorRunsPendingCleanups) {
-  std::vector<int> log;
-  {
-    Arena arena;
-    (void)arena.New<DtorRecorder>(7, &log);
-  }
-  EXPECT_EQ(log, std::vector<int>{7});
-}
-
-TEST(ArenaTest, ArenaPlacedValuesMayOwnHeapMembers) {
-  Arena arena;
-  auto* s = arena.New<std::string>(1000, 'x');
-  auto* v = arena.New<std::vector<int>>(std::vector<int>{1, 2, 3});
-  EXPECT_EQ(s->size(), 1000u);
-  EXPECT_EQ(v->at(2), 3);
-  arena.Reset();  // ASan would flag the leak if cleanups were skipped
 }
 
 TEST(ArenaTest, AllocateArrayIsUsable) {

@@ -40,11 +40,11 @@ std::string DiffCaseName(const ::testing::TestParamInfo<DiffCase>& info) {
          "_q" + std::to_string(kw) + "_d" + std::to_string(c.diameter);
 }
 
-// ~50 cases: the graph shape, query length (2-4 keywords), which keywords,
+// 75 cases: the graph shape, query length (2-4 keywords), which keywords,
 // and the diameter limit all derive from the seed.
 std::vector<DiffCase> MakeDiffCases() {
   std::vector<DiffCase> cases;
-  for (uint64_t seed = 1; seed <= 50; ++seed) {
+  for (uint64_t seed = 1; seed <= 75; ++seed) {
     Rng rng(0x9E3779B9u ^ seed);
     DiffCase c;
     c.seed = seed;
@@ -57,7 +57,12 @@ std::vector<DiffCase> MakeDiffCases() {
       if (i > 0) c.query += " ";
       c.query += "kw" + std::to_string(pool[i]);
     }
-    c.diameter = 3 + static_cast<uint32_t>(rng.NextUint(2));  // 3 or 4
+    // Seeds 51-75 draw D from {2, ..., 5}, so the incremental diameter
+    // and height rules meet both ends: D = 2 admits only stars, D = 5
+    // odd-length paths joined by merges.
+    c.diameter = seed <= 50
+                     ? 3 + static_cast<uint32_t>(rng.NextUint(2))   // 3 or 4
+                     : 2 + static_cast<uint32_t>(rng.NextUint(4));  // 2..5
     cases.push_back(std::move(c));
   }
   return cases;

@@ -142,7 +142,8 @@ TEST_F(StarIndexTest, ClosedFormTransmissionIsUpperBound) {
   InvertedIndex inv(dataset_->graph);
   TreeScorer scorer(*model_, inv);
   const Query q = Query::MustParse("james");
-  UpperBoundCalculator calc(scorer, q, StarIndexOptions().max_distance,
+  const QueryNodeTable nodes(scorer, q);
+  UpperBoundCalculator calc(scorer, nodes, StarIndexOptions().max_distance,
                             &index.value());
   std::vector<double> best;
   Rng rng(7);
@@ -175,11 +176,12 @@ TEST_F(StarIndexTest, ClosedFormTransmissionFollowsTheRebuiltModel) {
   const size_t n = dataset_->graph.num_nodes();
   const uint32_t d = engine.options().search.max_diameter;
   const Query q = Query::MustParse("james");
+  const QueryNodeTable nodes(engine.scorer(), q);
   const NamedProviders providers = {{"naive", &naive.value()},
                                     {"star", &star.value()}};
   for (const auto& [name, provider] : providers) {
     SCOPED_TRACE(name);
-    UpperBoundCalculator calc(engine.scorer(), q, d, provider);
+    UpperBoundCalculator calc(engine.scorer(), nodes, d, provider);
     std::vector<uint32_t> dist;
     std::vector<double> best;
     Rng rng(12);

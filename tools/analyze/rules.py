@@ -73,7 +73,7 @@ DELETED_FUNCTION = re.compile(r"=\s*delete\b")
 # Candidate-shaped payloads must be arena-placed, not heap-allocated one at
 # a time (the hot path the Arena exists for).
 PER_CANDIDATE_UNIQUE = re.compile(
-    r"std::make_unique\s*<\s*(?:Candidate|ArenaEntry|FrontierEntry)\b")
+    r"std::make_unique\s*<\s*(?:Candidate|AdmittedCandidate)\b")
 
 # A *definition* (body, not declaration) of a ScoreAnswer-style tree-scoring
 # method. Matches `double [Qualified::]ScoreAnswer(args) [const]
