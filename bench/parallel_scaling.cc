@@ -1,25 +1,21 @@
-// Parallel top-k serving scaling: speedup of the two concurrency layers at
+// Parallel top-k serving scaling: speedup of inter-query parallelism at
 // 1/2/4/8 threads on the DBLP synthetic dataset, against the serial
 // branch-and-bound baseline.
 //
 //   (a) inter-query: CiRankEngine::SearchBatch spreads whole queries over
 //       the pool (embarrassingly parallel, the paper's serving scenario);
-//   (b) intra-query: ParallelBnbSearch shares one query's candidate
-//       frontier across workers (bounded by frontier width and the shared
-//       top-k critical section).
+//   (b) warm cache: the same batch served from the LRU result cache.
 //
 // Every parallel run is verified against the serial answers — exactness is
-// part of the benchmark's contract, not a separate test concern (the
-// differential suite proves it exhaustively on micro graphs; this re-checks
-// it at bench scale). Speedups are only meaningful on a machine with that
-// many physical cores; the harness prints the detected core count so a
-// 1-core CI box reporting ~1.0x reads as expected, not broken.
+// part of the benchmark's contract, not a separate test concern. Speedups
+// are only meaningful on a machine with that many physical cores; the
+// harness prints the detected core count so a 1-core CI box reporting
+// ~1.0x reads as expected, not broken.
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "core/parallel_search.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 #include "util/status.h"
@@ -69,23 +65,18 @@ void Run(bench::BenchReport* report) {
   overrides.max_expansions = 20000;
   const SearchOptions opts = engine.EffectiveOptions(overrides);
 
-  // Serial baseline (and the exactness reference). Budget-capped runs
-  // surrender the byte-identical guarantee for the *intra-query* parallel
-  // search (the cut point depends on expansion order), so remember which
-  // references are exact.
+  // Serial baseline (and the exactness reference).
   std::vector<std::vector<RankedAnswer>> reference;
-  std::vector<bool> exact;
+  size_t num_exact = 0;
   Timer t;
   for (const Query& q : queries) {
     SearchStats stats;
     auto r = engine.Search(q, opts, &stats);
     reference.push_back(r.ok() ? std::move(r).value()
                                : std::vector<RankedAnswer>{});
-    exact.push_back(r.ok() && stats.proven_optimal);
+    if (r.ok() && stats.proven_optimal) ++num_exact;
   }
   const double serial_s = t.ElapsedSeconds();
-  size_t num_exact = 0;
-  for (const bool e : exact) num_exact += e ? 1 : 0;
   std::printf("serial baseline: %7.3f s for %zu queries "
               "(k=5, D=4, budget 20k; %zu proven-optimal)\n\n",
               serial_s, queries.size(), num_exact);
@@ -119,31 +110,7 @@ void Run(bench::BenchReport* report) {
     report->AddCounter(key + ".mismatches", v.mismatches);
   }
 
-  std::printf("\n(b) intra-query: ParallelBnbSearch, shared frontier\n");
-  std::printf("    %-8s %10s %9s %12s\n", "threads", "time (s)", "speedup",
-              "verified");
-  for (int threads : {1, 2, 4, 8}) {
-    ParallelSearchOptions popts;
-    popts.num_threads = threads;
-    t.Reset();
-    Verified v;
-    for (size_t i = 0; i < queries.size(); ++i) {
-      auto r = ParallelBnbSearch(engine.scorer(), queries[i], opts, popts);
-      // Identity only holds where the serial run proved optimality; a hit
-      // budget cuts the two frontiers at schedule-dependent points.
-      if (r.ok() && exact[i]) CheckIdentical(reference[i], *r, &v);
-    }
-    const double par_s = t.ElapsedSeconds();
-    std::printf("    %-8d %10.3f %8.2fx %6lld/%lld%s\n", threads, par_s,
-                serial_s / par_s, v.compared - v.mismatches, v.compared,
-                v.mismatches != 0 ? "  MISMATCH" : "");
-    const std::string key = "intra.t" + std::to_string(threads);
-    report->AddMetric(key + ".seconds", par_s);
-    report->AddMetric(key + ".speedup", serial_s / par_s);
-    report->AddCounter(key + ".mismatches", v.mismatches);
-  }
-
-  std::printf("\n(c) warm cache: SearchBatch with the LRU result cache\n");
+  std::printf("\n(b) warm cache: SearchBatch with the LRU result cache\n");
   {
     BatchSearchOptions batch;
     batch.num_threads = 4;

@@ -12,13 +12,9 @@
 //   --k N                   answers per query (default 5)
 //   --diameter D            answer-tree diameter limit (default 4)
 //   --no-index              disable the star index
-//   --threads N             parallel search workers (default 1 = serial);
-//                           N > 1 selects the "parallel" executor, which
-//                           shares each query's candidate frontier across a
-//                           worker pool and returns identical answers
 //   --executor NAME         route queries through a registered executor:
-//                           bnb (default), parallel, naive, banks,
-//                           bidirectional, spark, discover2
+//                           bnb (default), naive, banks, bidirectional,
+//                           spark, discover2
 //   --ranker NAME           score answers with a registered ranker: rwmp
 //                           (default), rwmp_x_text, spark, banks,
 //                           discover2, or an ablation ranker
@@ -32,8 +28,8 @@
 //                           0 disables). With the cache on, repeating a
 //                           query is served memoized and the CLI reports
 //                           cache counters instead of expansion stats;
-//                           --threads > 1, --deadline-ms, and non-default
-//                           --executor report fresh stage stats instead
+//                           --deadline-ms and a non-default --executor
+//                           report fresh stage stats instead
 //   --shards N              scatter-gather shard count (default 1; results
 //                           are byte-identical for any N — DESIGN.md §16)
 //   --partitioner NAME      shard partitioner: hash|star (default hash)
@@ -72,8 +68,7 @@ struct CliOptions {
   int k = 5;
   uint32_t diameter = 4;
   bool use_index = true;
-  int threads = 1;
-  std::string executor;  // empty = engine default ("bnb" / "parallel")
+  std::string executor;  // empty = engine default ("bnb")
   std::string ranker;    // empty = engine default ("rwmp")
   std::string order_by;  // empty = score order
   double deadline_ms = 0.0;
@@ -138,14 +133,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* opts) {
       opts->diameter = static_cast<uint32_t>(std::atoi(v));
     } else if (arg == "--no-index") {
       opts->use_index = false;
-    } else if (arg == "--threads") {
-      const char* v = next();
-      if (!v) return false;
-      opts->threads = std::atoi(v);
-      if (opts->threads < 1) {
-        std::fprintf(stderr, "--threads must be >= 1\n");
-        return false;
-      }
     } else if (arg == "--executor") {
       const char* v = next();
       if (!v) return false;
@@ -286,12 +273,11 @@ int main(int argc, char** argv) {
   }
 
   std::printf("ready: %zu nodes, %zu edges, %s star index, %u shard%s "
-              "[%s], %d thread%s, cache %zu (%.1f s setup)\n",
+              "[%s], cache %zu (%.1f s setup)\n",
               graph.num_nodes(), graph.num_edges(),
               built->star_index != nullptr ? "with" : "without",
               opts.num_shards, opts.num_shards == 1 ? "" : "s",
-              opts.partitioner.c_str(), opts.threads,
-              opts.threads == 1 ? "" : "s", opts.cache_capacity,
+              opts.partitioner.c_str(), opts.cache_capacity,
               setup_timer.ElapsedSeconds());
   std::printf("type keywords (empty line quits):\n");
 
@@ -313,12 +299,7 @@ int main(int argc, char** argv) {
     overrides.max_expansions = 500000;
     // The star index (when built) is already wired into the engine's
     // default bounds by the EngineBuilder; no per-query override needed.
-    if (!opts.executor.empty()) {
-      overrides.executor = opts.executor;
-    } else if (opts.threads > 1) {
-      overrides.executor = "parallel";
-    }
-    if (opts.threads > 1) overrides.num_threads = opts.threads;
+    if (!opts.executor.empty()) overrides.executor = opts.executor;
     if (opts.deadline_ms > 0.0) overrides.deadline_ms = opts.deadline_ms;
     if (!opts.ranker.empty()) overrides.ranker = opts.ranker;
     if (!opts.order_by.empty()) overrides.order_by = opts.order_by;
@@ -326,9 +307,9 @@ int main(int argc, char** argv) {
     // With the cache on, requesting SearchStats would force a fresh search
     // (a memoized result has no stats to report), so repeated queries go
     // through the cacheable entry point and report cache counters instead.
-    // Everything that changes what runs — threads, a deadline, an explicit
-    // executor — reports fresh stage stats.
-    const bool want_stats = opts.threads > 1 || opts.cache_capacity == 0 ||
+    // Everything that changes what runs — a deadline, an explicit executor
+    // — reports fresh stage stats.
+    const bool want_stats = opts.cache_capacity == 0 ||
                             opts.deadline_ms > 0.0 ||
                             !opts.executor.empty() || !opts.ranker.empty() ||
                             !opts.order_by.empty();

@@ -172,8 +172,8 @@ class BnbExecutor final : public SearchExecutor {
     if (c.IsComplete(nodes_->all_keywords()) && builder_->IsReduced(c)) {
       // Scoring runs on the canonical representative so the stored answer
       // (and its floating-point score) does not depend on which derivation
-      // reached this tree first — a precondition for the byte-identical
-      // guarantee shared with the parallel executor.
+      // reached this tree first — a precondition for byte-identical
+      // answers, here and across the shard merge.
       Jtt canon = MaterializeJtt(c).Canonicalized();
       const double score = ranker_->ScoreAnswer(canon, query_);
       CIRANK_DCHECK(score <=

@@ -34,10 +34,8 @@ namespace cirank {
 // result a canonical function of (scorer, query, options) — independent of
 // expansion order — whenever the expansion budget is not hit: every answer
 // tying with the k-th score is found, so the (score, canonical key) order
-// is total over the candidates for the last slots. ParallelBnbSearch
-// (parallel_search.h) returns byte-identical results for the same reason.
-// Fails on empty queries, queries with more than 31 keywords, or
-// non-positive k.
+// is total over the candidates for the last slots. Fails on empty queries,
+// queries with more than 31 keywords, or non-positive k.
 //
 // DEPRECATED for application code: call CiRankEngine::Search with
 // SearchOptions/SearchOverrides (executor = "bnb") instead — the engine

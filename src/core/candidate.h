@@ -76,9 +76,9 @@ static_assert(std::is_trivially_destructible_v<Candidate>);
 bool SameCandidate(const Candidate& a, const Candidate& b);
 
 // Per-query facts about the nodes a candidate can contain, built once per
-// query and read-only afterwards (the parallel executor's workers share
-// one). Only non-free nodes are stored; every other node has mask 0 and
-// emission 0. Keeps no reference to the query it was built from.
+// query and read-only afterwards. Only non-free nodes are stored; every
+// other node has mask 0 and emission 0. Keeps no reference to the query it
+// was built from.
 class QueryNodeTable {
  public:
   struct Source {

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "core/parallel_search.h"
 #include "util/annotations.h"
 #include "util/check.h"
 #include "obs/log.h"

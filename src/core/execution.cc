@@ -6,7 +6,6 @@
 #include "core/bnb_search.h"
 #include "core/naive_search.h"
 #include "core/order_by.h"
-#include "core/parallel_search.h"
 #include "util/check.h"
 #include "util/timer.h"
 
@@ -27,12 +26,9 @@ ExecutionContext::ExecutionContext(const ExecutionLimits& limits)
 }
 
 bool ExecutionContext::ChargeCandidates(int64_t n) {
-  const int64_t total = charged_.fetch_add(n, std::memory_order_relaxed) + n;
-  if (limits_.candidate_budget > 0 && total > limits_.candidate_budget) {
-    StopReason expected = StopReason::kNone;
-    stop_reason_.compare_exchange_strong(expected,
-                                         StopReason::kCandidateBudget,
-                                         std::memory_order_acq_rel);
+  charged_ += n;
+  if (limits_.candidate_budget > 0 && charged_ > limits_.candidate_budget) {
+    if (!stopped()) stop_reason_ = StopReason::kCandidateBudget;
     return false;
   }
   return !stopped();
@@ -44,12 +40,9 @@ bool ExecutionContext::ShouldStop() {
   // Probe the clock only every kDeadlineCheckStride calls: hot loops call
   // this per candidate and a steady_clock read per call would dominate tiny
   // queries. The first call always probes, so short deadlines are seen.
-  const int64_t probe = stop_probe_.fetch_add(1, std::memory_order_relaxed);
-  if (probe % kDeadlineCheckStride != 0) return false;
+  if (stop_probe_++ % kDeadlineCheckStride != 0) return false;
   if (std::chrono::steady_clock::now() >= deadline_) {
-    StopReason expected = StopReason::kNone;
-    stop_reason_.compare_exchange_strong(expected, StopReason::kDeadline,
-                                         std::memory_order_acq_rel);
+    stop_reason_ = StopReason::kDeadline;
     return true;
   }
   return false;
@@ -97,7 +90,6 @@ ExecutorRegistry& ExecutorRegistry::Global() {
   static ExecutorRegistry* registry = [] {
     auto* r = new ExecutorRegistry("executor");
     CIRANK_CHECK_OK(r->Register("bnb", MakeBnbExecutor));
-    CIRANK_CHECK_OK(r->Register("parallel", MakeParallelBnbExecutor));
     CIRANK_CHECK_OK(r->Register("naive", MakeNaiveExecutor));
     return r;
   }();

@@ -1,8 +1,7 @@
 // The unified query-execution pipeline (DESIGN.md §10). Every search
-// implementation — serial branch-and-bound, the shared-frontier parallel
-// search, the naive algorithm, and the baseline rankers — implements one
-// SearchExecutor interface (Prepare → Expand → Emit) and is driven by a
-// per-query ExecutionContext that owns
+// implementation — branch-and-bound, the naive algorithm, and the baseline
+// rankers — implements one SearchExecutor interface (Prepare → Expand →
+// Emit) and is driven by a per-query ExecutionContext that owns
 //   (a) a monotonic Arena all candidate trees and scratch state are placed
 //       into, freed wholesale when the query ends;
 //   (b) a deadline + candidate-budget guard, so every executor returns its
@@ -20,7 +19,6 @@
 #ifndef CIRANK_CORE_EXECUTION_H_
 #define CIRANK_CORE_EXECUTION_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -84,7 +82,7 @@ struct SearchStats {
   // serving or batch path; besides the executor and ranker names every
   // field stays zero because no search ran.
   bool from_cache = false;
-  // Name of the executor that served the query ("bnb", "parallel", ...).
+  // Name of the executor that served the query ("bnb", "naive", ...).
   std::string executor;
   // Name of the ranker that scored the answers ("rwmp", "rwmp_x_text", ...)
   // as reported by the executor; empty for legacy direct entry points.
@@ -111,14 +109,8 @@ struct ExecutionLimits {
 };
 
 // Owns the arena, the deadline/budget guard, and the stage counters for one
-// query. Charge/stop checks are lock-free (atomics) so the parallel
-// executor's workers can consult them concurrently; the arena itself is NOT
-// thread-safe and must be confined to one thread or an external mutex (the
-// parallel executor allocates only under its shared-state lock). The three
-// atomics below are deliberately outside any capability (DESIGN.md §12):
-// the counters are relaxed (readers tolerate staleness), while the sticky
-// stop_reason_ publishes with release/acquire so a worker observing a stop
-// also observes why.
+// query. Not thread-safe: a context is created, used and destroyed on the
+// thread that runs the query (each shard sub-search builds its own).
 class ExecutionContext {
  public:
   enum class StopReason { kNone, kDeadline, kCandidateBudget };
@@ -137,23 +129,16 @@ class ExecutionContext {
   bool ShouldStop();
 
   // Stop state inspection (exact; no clock probes).
-  bool stopped() const {
-    return stop_reason_.load(std::memory_order_acquire) != StopReason::kNone;
-  }
-  StopReason stop_reason() const {
-    return stop_reason_.load(std::memory_order_acquire);
-  }
+  bool stopped() const { return stop_reason_ != StopReason::kNone; }
+  StopReason stop_reason() const { return stop_reason_; }
   // OK while running to completion; DeadlineExceeded / ResourceExhausted-
   // style status describing why the result is partial otherwise.
   Status stop_status() const;
 
-  int64_t candidates_charged() const {
-    return charged_.load(std::memory_order_relaxed);
-  }
+  int64_t candidates_charged() const { return charged_; }
   const ExecutionLimits& limits() const { return limits_; }
 
-  // Stage counters. Single-writer or externally synchronized (the parallel
-  // executor merges its per-worker counts under its own lock).
+  // Stage counters, written by the executor and by RunSearchPipeline.
   StageStats& stages() { return stages_; }
   const StageStats& stages() const { return stages_; }
 
@@ -181,9 +166,9 @@ class ExecutionContext {
   Arena arena_;
   std::chrono::steady_clock::time_point deadline_{};  // valid iff has_deadline_
   bool has_deadline_ = false;
-  std::atomic<int64_t> charged_{0};
-  std::atomic<int64_t> stop_probe_{0};
-  std::atomic<StopReason> stop_reason_{StopReason::kNone};
+  int64_t charged_ = 0;
+  int64_t stop_probe_ = 0;
+  StopReason stop_reason_ = StopReason::kNone;
   StageStats stages_;
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::TraceCollector* trace_ = nullptr;
@@ -202,7 +187,7 @@ class SearchExecutor {
  public:
   virtual ~SearchExecutor() = default;
 
-  // Registry name of this executor ("bnb", "parallel", ...).
+  // Registry name of this executor ("bnb", "naive", ...).
   virtual std::string_view name() const = 0;
 
   // Builds per-query state: bound calculators, seeds, BFS tables. Errors
@@ -245,13 +230,11 @@ struct ExecutorEnv {
 
 // The argument checks every executor factory shares: a scorer and a
 // non-empty query of at most Query::kMaxKeywords keywords, and k > 0.
-// Executors with knobs of their own ("parallel"'s num_threads) check those
-// on top.
 [[nodiscard]] Status ValidateExecutorEnv(const ExecutorEnv& env);
 
 // Name → factory map (core/registry.h). The global instance, used by
-// CiRankEngine, comes pre-loaded with the core executors ("bnb",
-// "parallel", "naive"); baselines register via RegisterBaselineExecutors()
+// CiRankEngine, comes pre-loaded with the core executors ("bnb" and
+// "naive"); baselines register via RegisterBaselineExecutors()
 // (baselines/baseline_executors.h) to keep the core library free of a
 // dependency cycle.
 using ExecutorRegistry = FactoryRegistry<SearchExecutor, ExecutorEnv>;

@@ -89,7 +89,7 @@ class Jtt {
   // in ascending id. Two Jtts with equal CanonicalKey() canonicalize to
   // byte-identical objects, so downstream floating-point work (scoring,
   // message propagation) is independent of the derivation order that built
-  // the tree — the parallel search relies on this for exactness.
+  // the tree — the search and the shard merge rely on this for exactness.
   Jtt Canonicalized() const;
 
   // Human-readable rendering using node text, e.g. for example programs.

@@ -16,9 +16,6 @@ SearchOptions MergeOverrides(const SearchOptions& base,
     merged.strict_merge_rule = *overrides.strict_merge_rule;
   }
   if (overrides.executor.has_value()) merged.executor = *overrides.executor;
-  if (overrides.num_threads.has_value()) {
-    merged.num_threads = *overrides.num_threads;
-  }
   if (overrides.deadline_ms.has_value()) {
     merged.deadline_ms = *overrides.deadline_ms;
   }

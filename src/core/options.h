@@ -13,7 +13,7 @@
 //
 // SearchOverrides supports both plain field-initializer style
 // (`SearchOverrides o; o.k = 5;`) and a fluent builder
-// (`SearchOverrides().WithK(5).WithExecutor("parallel")`); the two are
+// (`SearchOverrides().WithK(5).WithExecutor("naive")`); the two are
 // interchangeable and the builder is pure sugar over the optional fields.
 #ifndef CIRANK_CORE_OPTIONS_H_
 #define CIRANK_CORE_OPTIONS_H_
@@ -49,12 +49,9 @@ struct SearchOptions {
 
   // --- Execution-pipeline knobs (DESIGN.md §10) ---------------------------
   // Executor the engine routes the query through; must name an entry of
-  // ExecutorRegistry ("bnb", "parallel", "naive", or a registered baseline).
-  // Direct calls to BranchAndBoundSearch etc. ignore this field.
+  // ExecutorRegistry ("bnb", "naive", or a registered baseline). Direct
+  // calls to BranchAndBoundSearch etc. ignore this field.
   std::string executor = "bnb";
-  // Worker threads for executors that parallelize within one query (the
-  // "parallel" executor); serial executors ignore it.
-  int num_threads = 1;
   // Wall-clock deadline for the whole query; 0 = none. On expiry the
   // executor stops expanding and emits the best-so-far partial top-k with
   // SearchStats::truncated set and stop_status() == DeadlineExceeded.
@@ -105,11 +102,9 @@ struct SearchOverrides {
   std::optional<int64_t> max_expansions;
   std::optional<bool> strict_merge_rule;
   // Execution-pipeline knobs (core/execution.h): which registered
-  // SearchExecutor serves the query ("bnb", "parallel", "naive", or any
-  // name added via ExecutorRegistry), its thread count, and the per-query
-  // deadline / candidate-budget guard.
+  // SearchExecutor serves the query ("bnb", "naive", or any name added via
+  // ExecutorRegistry) and the per-query deadline / candidate-budget guard.
   std::optional<std::string> executor;
-  std::optional<int> num_threads;
   std::optional<double> deadline_ms;
   std::optional<int64_t> candidate_budget;
   // Ranking knobs (core/ranker.h, core/order_by.h): which registered Ranker
@@ -143,10 +138,6 @@ struct SearchOverrides {
   }
   SearchOverrides& WithExecutor(std::string value) {
     executor = std::move(value);
-    return *this;
-  }
-  SearchOverrides& WithNumThreads(int value) {
-    num_threads = value;
     return *this;
   }
   SearchOverrides& WithDeadlineMs(double value) {

@@ -33,8 +33,7 @@ namespace cirank {
 
 // One query's scoring function. Instances are created per query (via
 // RankerRegistry) and are NOT thread-safe: the rwmp ranker's bound state
-// memoizes per-query caches, so the parallel executor builds one ranker per
-// worker, exactly as it did for UpperBoundCalculator.
+// memoizes per-query caches.
 class Ranker {
  public:
   virtual ~Ranker() = default;
@@ -44,7 +43,9 @@ class Ranker {
 
   // Score of a complete answer tree; higher is better. Must be
   // deterministic — the executors rely on bitwise-reproducible scores for
-  // the byte-identical serial/parallel guarantee.
+  // answers that are byte-identical however the search reached them, and
+  // the shard merge for lists that are byte-identical to the single
+  // engine's.
   virtual double ScoreAnswer(const Jtt& tree, const Query& query) const = 0;
 
   // Upper bound on ScoreAnswer over every answer derivable from `c`

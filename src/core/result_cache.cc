@@ -16,7 +16,7 @@ std::string CacheKey(const Query& query, const SearchOptions& options,
   key << "|k=" << options.k << "|d=" << options.max_diameter
       << "|x=" << options.max_expansions << "|s=" << options.strict_merge_rule
       << "|b=" << static_cast<const void*>(options.bounds)
-      << "|e=" << options.executor << "|t=" << options.num_threads
+      << "|e=" << options.executor
       << "|r=" << options.ranker << "|o=" << options.order_by
       << "|w=" << options.composite_rwmp_weight << ','
       << options.composite_text_weight

@@ -1,8 +1,8 @@
-// Shared support for the top-k searches (serial and parallel): the top-k
-// answer accumulator, the arena entry of an admitted candidate and the
-// per-root merge registry. Kept in one header so both search
-// implementations provably apply identical dedup, merge-order and
-// tie-breaking rules — the differential test suite depends on that.
+// Support for the branch-and-bound top-k search: the top-k answer
+// accumulator, the arena entry of an admitted candidate and the per-root
+// merge registry. The shard gather folds per-shard lists through the same
+// accumulator, so the merged list applies the search's own dedup and
+// tie-breaking rules — the sharded differential tests depend on that.
 #ifndef CIRANK_CORE_TOPK_H_
 #define CIRANK_CORE_TOPK_H_
 
@@ -36,11 +36,9 @@ struct AdmittedCandidate {
 // by root, each group in admission order, chained through the arena
 // entries. A merge pass takes a Prefix — the group as it stands when the
 // pass starts — and walks exactly that many entries, so merges admitted
-// during the walk are not revisited and nothing is copied. Not
-// thread-safe: the parallel executor calls Append and At under its shared
-// mutex, and walks a prefix without it, which is safe because a link is
-// written once, under the mutex, before the entry it points to is
-// published.
+// during the walk are not revisited and nothing is copied: bnb's merge
+// pass walks a prefix while Admit appends to the same chain. Not
+// thread-safe.
 class RootRegistry {
  public:
   class Prefix {
@@ -100,8 +98,7 @@ class RootRegistry {
 
 // Maintains the current top-k answers, deduplicated by canonical tree key
 // and ordered by (score descending, canonical key ascending). NOT
-// thread-safe: the parallel search serializes Offer calls under its state
-// mutex. Offered trees should already be in canonical form (see
+// thread-safe. Offered trees should already be in canonical form (see
 // Jtt::Canonicalized) so the stored instances — and hence the bytes of the
 // final result — do not depend on which derivation reached a tree first.
 class TopKAnswers {
@@ -112,7 +109,7 @@ class TopKAnswers {
   // accumulator is full, the pruning threshold MinScore() is monotonically
   // non-decreasing over any sequence of offers; the DCHECK below is the
   // machine-checked half of that property (the property test drives it
-  // under concurrency).
+  // with offers in schedule-dependent order).
   bool Offer(Jtt tree, double score) {
     std::string key = tree.CanonicalKey();
     if (!seen_.insert(std::move(key)).second) return false;

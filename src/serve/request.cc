@@ -5,6 +5,7 @@
 
 #include "core/order_by.h"
 #include "core/ranker.h"
+#include "obs/log.h"
 #include "serve/json.h"
 
 namespace cirank {
@@ -49,8 +50,29 @@ Result<bool> BoolField(const JsonValue& value, const char* field) {
   return value.bool_value;
 }
 
-Status ApplyExecutorName(const std::string& name, const char* field,
+// The removed intra-query executor. For one release its name stays
+// accepted as a deprecated alias of "bnb", and its `num_threads` knob as a
+// deprecated no-op, each with a response "warning".
+constexpr char kRemovedParallelExecutor[] = "parallel";
+
+// Appends one note to the response's "warning" field, "; "-separated.
+void AddDeprecationNote(SearchRequest* request, const std::string& note) {
+  if (!request->deprecation_note.empty()) request->deprecation_note += "; ";
+  request->deprecation_note += note;
+}
+
+Status ApplyExecutorName(std::string name, const char* field,
                          SearchRequest* request) {
+  if (name == kRemovedParallelExecutor) {
+    CIRANK_LOG_EVERY_N(Warning, 100)
+        << "/search field '" << field << "' names the removed executor "
+        << "'parallel'; serving it with 'bnb'";
+    AddDeprecationNote(request, std::string("field '") + field +
+                                    "' value 'parallel' is deprecated and "
+                                    "runs 'bnb'; the intra-query parallel "
+                                    "executor was removed");
+    name = "bnb";
+  }
   if (!ExecutorRegistry::Global().Contains(name)) {
     std::string known;
     for (const std::string& n : ExecutorRegistry::Global().Names()) {
@@ -78,13 +100,14 @@ Status ApplyRankerName(const std::string& name, SearchRequest* request) {
     request->overrides.WithRanker(name);
     return Status::OK();
   }
-  if (ExecutorRegistry::Global().Contains(name)) {
+  if (ExecutorRegistry::Global().Contains(name) ||
+      name == kRemovedParallelExecutor) {
     CIRANK_RETURN_IF_ERROR(ApplyExecutorName(name, "ranker", request));
-    request->deprecation_note =
-        "field 'ranker' value '" + name +
-        "' names an executor, not a ranker; the executor alias is "
-        "deprecated — use 'executor' to pick the search algorithm and "
-        "'ranker' to pick the scoring function";
+    AddDeprecationNote(
+        request, "field 'ranker' value '" + name +
+                     "' names an executor, not a ranker; the executor alias "
+                     "is deprecated — use 'executor' to pick the search "
+                     "algorithm and 'ranker' to pick the scoring function");
     return Status::OK();
   }
   std::string known;
@@ -162,9 +185,14 @@ Result<SearchRequest> ParseSearchRequest(std::string_view body) {
         request.overrides.composite_text_weight = value.number;
       }
     } else if (key == "num_threads") {
-      CIRANK_ASSIGN_OR_RETURN(int64_t n,
-                              IntegralField(value, "num_threads", 1, 512));
-      request.overrides.WithNumThreads(static_cast<int>(n));
+      // Still range-checked, so a value that was a 400 stays one.
+      CIRANK_RETURN_IF_ERROR(
+          IntegralField(value, "num_threads", 1, 512).status());
+      CIRANK_LOG_EVERY_N(Warning, 100)
+          << "/search field 'num_threads' is deprecated; ignoring it";
+      AddDeprecationNote(&request,
+                         "field 'num_threads' is deprecated and ignored; "
+                         "each query runs on one thread");
     } else if (key == "deadline_ms") {
       if (!value.is_number() || value.number < 0.0) {
         return Status::InvalidArgument(

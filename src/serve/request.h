@@ -1,8 +1,7 @@
 // The `/search` JSON query DSL (DESIGN.md §13): a thin, strict mapping from
 // a request body like
 //
-//   {"query": "tom hanks", "k": 5, "executor": "parallel",
-//    "deadline_ms": 50, "num_threads": 4}
+//   {"query": "tom hanks", "k": 5, "executor": "bnb", "deadline_ms": 50}
 //
 // onto the fluent SearchOverrides builder from core/options.h, plus the
 // response/error renderers the server emits. Everything here is pure —
@@ -31,7 +30,9 @@
 //                    relation, size, text); validated at parse time
 //   composite_rwmp_weight   number >= 0 (rwmp_x_text mixing weight)
 //   composite_text_weight   number >= 0 (rwmp_x_text mixing weight)
-//   num_threads      integer in [1, 512]
+//   num_threads      integer in [1, 512]; deprecated and ignored, with a
+//                    "warning" (it sized the removed "parallel" executor,
+//                    whose name is still accepted as an alias of "bnb")
 //   deadline_ms      number >= 0 (0 = none)
 //   candidate_budget integer >= 0 (0 = unlimited)
 //   shard_parallelism integer in [1, 64]: per-query scatter fan-out width
@@ -59,7 +60,8 @@ struct SearchRequest {
   // The normalized keyword string echoed back in the response envelope.
   std::string normalized_query;
   // Non-empty when the request used a deprecated spelling (e.g. 'ranker'
-  // naming an executor); echoed as the response's top-level "warning".
+  // naming an executor, or 'num_threads'); echoed as the response's
+  // top-level "warning", several notes joined by "; ".
   std::string deprecation_note;
   // Scatter fan-out width for sharded serving; 0 = server default. Not a
   // SearchOverrides field — it configures the scatter layer above the

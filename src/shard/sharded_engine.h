@@ -22,7 +22,7 @@
 //
 // Queries whose (overridden) max_diameter exceeds the built scope radius
 // fall back to full scope on every shard: N× redundant work, still exact.
-// Executors that ignore ShardHooks (parallel, naive, the baselines) get the
+// Executors that ignore ShardHooks (naive, the baselines) get the
 // same fallback behavior implicitly — each shard does full-graph work and
 // the dedup merge keeps the result exact.
 #ifndef CIRANK_SHARD_SHARDED_ENGINE_H_

@@ -7,10 +7,8 @@
 // state frees a handful of blocks and runs no destructor: a per-query
 // teardown cost cannot creep back without a compile error.
 //
-// Thread-safety: none. The serial executors use the arena freely; the
-// parallel executor confines every allocation to its shared-state mutex
-// (candidates are built in per-worker scratch buffers outside the lock and
-// copied into the arena under it, so the critical section stays short).
+// Thread-safety: none. An arena belongs to one query's ExecutionContext and
+// is used only on the thread that runs the query.
 #ifndef CIRANK_UTIL_ARENA_H_
 #define CIRANK_UTIL_ARENA_H_
 

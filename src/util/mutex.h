@@ -3,8 +3,8 @@
 // the Thread Safety Analysis annotations from util/annotations.h. Fields
 // protected by a cirank::Mutex are declared CIRANK_GUARDED_BY(mu), and the
 // `tsa` preset turns any access outside the lock into a compile error —
-// the locking comments in thread_pool.h / lru_cache.h / parallel_search.cc
-// are machine-checked, not advisory (DESIGN.md §12).
+// the locking comments in thread_pool.h / lru_cache.h are machine-checked,
+// not advisory (DESIGN.md §12).
 //
 // The wrappers are zero-cost forwarding shims: off Clang the annotations
 // vanish and MutexLock is exactly a lock_guard.
@@ -20,8 +20,8 @@ namespace cirank {
 
 // An exclusive capability. Prefer MutexLock for scoped acquisition; the
 // raw Lock()/Unlock() pair exists for hand-over-hand patterns like the
-// worker loops (parallel_search.cc, thread_pool.cc) that release the lock
-// around the expansion work — the analysis checks those paths too.
+// thread_pool.cc worker loop that releases the lock around each task — the
+// analysis checks those paths too.
 class CIRANK_CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;

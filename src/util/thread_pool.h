@@ -1,13 +1,13 @@
 // Fixed-size worker pool: the project's single sanctioned owner of raw
 // std::thread (tools/analyze enforces this). Deliberately work-stealing-free:
 // one mutex-protected FIFO feeds every worker, which is plenty for the
-// coarse-grained tasks the engine submits (whole queries, frontier
-// expansions) and keeps the termination reasoning in the parallel search
-// trivial to audit. The queue discipline is machine-checked: every field
-// below carries a CIRANK_GUARDED_BY annotation and the `tsa` preset fails
-// to compile any access outside pool_mu_ (DESIGN.md §12). pool_mu_ is the
-// lowest level of the declared lock hierarchy (engine → cache-shard →
-// pool): no other project lock may be acquired while holding it.
+// coarse-grained tasks the engine submits (whole queries, shard
+// sub-searches) and keeps the termination reasoning trivial to audit. The
+// queue discipline is machine-checked: every field below carries a
+// CIRANK_GUARDED_BY annotation and the `tsa` preset fails to compile any
+// access outside pool_mu_ (DESIGN.md §12). pool_mu_ is the lowest level of
+// the declared lock hierarchy (engine → cache-shard → pool): no other
+// project lock may be acquired while holding it.
 #ifndef CIRANK_UTIL_THREAD_POOL_H_
 #define CIRANK_UTIL_THREAD_POOL_H_
 

@@ -1,20 +1,21 @@
-// Differential test harness for the parallel search: on ~50 seeded random
-// micro-graphs with random 2-4 keyword queries, ParallelBnbSearch at 1, 2,
-// and 8 threads must return *byte-identical* results to the serial
-// BranchAndBoundSearch — same trees (by canonical key) with bitwise-equal
-// scores at every rank. A subset is additionally checked against
+// Differential test harness for branch-and-bound: on 75 seeded random
+// micro-graphs with random 2-4 keyword queries, every other way of running
+// the search — the registry pipeline, and concurrent queries through
+// SearchBatch — must return *byte-identical* results to the serial
+// BranchAndBoundSearch: same trees (by canonical key) with bitwise-equal
+// scores at every rank. The small graphs are additionally checked against
 // ExhaustiveSearch ground truth, and NaiveSearch is held to its soundness
 // contract (its best answer never beats the B&B optimum).
-#include "core/parallel_search.h"
+#include "core/bnb_search.h"
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/engine.h"
 #include "core/naive_search.h"
 #include "tests/test_util.h"
 #include "util/random.h"
@@ -83,6 +84,10 @@ void ExpectIdentical(const std::vector<RankedAnswer>& expected,
   }
 }
 
+// Inter-query parallelism: SearchBatch runs whole queries concurrently on
+// pool workers that share one engine snapshot (model, scorer, inverted
+// index), with the cache off so every entry searches. Each entry must match
+// the serial search byte for byte.
 TEST_P(DifferentialSearchTest, ParallelMatchesSerialByteForByte) {
   const DiffCase& c = GetParam();
   ScorerBundle b = MakeScorerBundle(MakeRandomGraph(c.seed, c.nodes));
@@ -91,34 +96,32 @@ TEST_P(DifferentialSearchTest, ParallelMatchesSerialByteForByte) {
   opts.k = 5;
   opts.max_diameter = c.diameter;
 
-  SearchStats serial_stats;
-  auto serial = BranchAndBoundSearch(*b.scorer, q, opts, &serial_stats);
+  auto serial = BranchAndBoundSearch(*b.scorer, q, opts);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
 
-  for (int threads : {1, 2, 8}) {
-    ParallelSearchOptions popts;
-    popts.num_threads = threads;
-    SearchStats pstats;
-    auto parallel = ParallelBnbSearch(*b.scorer, q, opts, popts, &pstats);
-    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-    ExpectIdentical(*serial, *parallel,
-                    "threads=" + std::to_string(threads));
-    EXPECT_TRUE(pstats.proven_optimal);
-    EXPECT_FALSE(pstats.budget_exhausted);
-    // The returned top-k is interleaving-independent, but the number of
-    // answers *discovered* along the way is not: a worker already in
-    // flight can complete an answer that a different schedule would have
-    // pruned once the threshold rose. Only sanity-check the counter.
-    EXPECT_GE(pstats.answers_found,
-              static_cast<int64_t>(parallel->size()))
-        << "threads=" << threads;
+  auto engine = CiRankEngine::Builder(b.graph)
+                    .WithSearchDefaults(opts)
+                    .WithMetricsEnabled(false)
+                    .Build();
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  constexpr int kThreads = 4;
+  BatchSearchOptions batch;
+  batch.num_threads = kThreads;
+  batch.use_cache = false;
+  std::vector<SearchStats> stats;
+  auto results = engine->SearchBatch(std::vector<Query>(kThreads, q), batch,
+                                     &stats);
+  for (size_t i = 0; i < results.size(); ++i) {
+    ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
+    ExpectIdentical(*serial, *results[i], "batch entry " + std::to_string(i));
+    EXPECT_TRUE(stats[i].proven_optimal);
   }
 }
 
 // The same identity must hold through the execution pipeline: the registry
-// executors ("bnb", "parallel" at 1/2/8 threads) place candidates in the
-// per-query arena and run under the deadline/budget guard, and none of that
-// may perturb a single byte of the answer.
+// "bnb" executor places candidates in the per-query arena and runs under
+// the deadline/budget guard, and none of that may perturb a single byte of
+// the answer.
 TEST_P(DifferentialSearchTest, RegistryExecutorsMatchSerialByteForByte) {
   const DiffCase& c = GetParam();
   ScorerBundle b = MakeScorerBundle(MakeRandomGraph(c.seed, c.nodes));
@@ -130,29 +133,15 @@ TEST_P(DifferentialSearchTest, RegistryExecutorsMatchSerialByteForByte) {
   auto serial = BranchAndBoundSearch(*b.scorer, q, opts);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
 
-  {
-    SearchOptions eopts = opts;
-    eopts.executor = "bnb";
-    ExecutorEnv env{b.scorer.get(), &q, eopts};
-    SearchStats stats;
-    auto r = ExecuteSearch(env, &stats);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    ExpectIdentical(*serial, *r, "pipeline bnb");
-    EXPECT_FALSE(stats.truncated);
-    EXPECT_GT(stats.stages.arena_bytes, 0u);
-  }
-  for (int threads : {1, 2, 8}) {
-    SearchOptions eopts = opts;
-    eopts.executor = "parallel";
-    eopts.num_threads = threads;
-    ExecutorEnv env{b.scorer.get(), &q, eopts};
-    SearchStats stats;
-    auto r = ExecuteSearch(env, &stats);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    ExpectIdentical(*serial, *r,
-                    "pipeline parallel t=" + std::to_string(threads));
-    EXPECT_FALSE(stats.truncated);
-  }
+  SearchOptions eopts = opts;
+  eopts.executor = "bnb";
+  ExecutorEnv env{b.scorer.get(), &q, eopts};
+  SearchStats stats;
+  auto r = ExecuteSearch(env, &stats);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ExpectIdentical(*serial, *r, "pipeline bnb");
+  EXPECT_FALSE(stats.truncated);
+  EXPECT_GT(stats.stages.arena_bytes, 0u);
 }
 
 TEST_P(DifferentialSearchTest, SmallGraphsMatchExhaustiveGroundTruth) {
@@ -171,9 +160,7 @@ TEST_P(DifferentialSearchTest, SmallGraphsMatchExhaustiveGroundTruth) {
   SearchOptions opts;
   opts.k = 5;
   opts.max_diameter = c.diameter;
-  ParallelSearchOptions popts;
-  popts.num_threads = 4;
-  auto actual = ParallelBnbSearch(*b.scorer, q, opts, popts);
+  auto actual = BranchAndBoundSearch(*b.scorer, q, opts);
   ASSERT_TRUE(actual.ok());
 
   // The exhaustive reference scores trees in their discovered orientation,
@@ -196,9 +183,7 @@ TEST_P(DifferentialSearchTest, NaiveNeverBeatsBnb) {
   SearchOptions opts;
   opts.k = 5;
   opts.max_diameter = c.diameter;
-  ParallelSearchOptions popts;
-  popts.num_threads = 2;
-  auto bnb = ParallelBnbSearch(*b.scorer, q, opts, popts);
+  auto bnb = BranchAndBoundSearch(*b.scorer, q, opts);
   ASSERT_TRUE(bnb.ok());
 
   NaiveSearchOptions nopts;
@@ -218,71 +203,6 @@ TEST_P(DifferentialSearchTest, NaiveNeverBeatsBnb) {
 
 INSTANTIATE_TEST_SUITE_P(RandomMicroGraphs, DifferentialSearchTest,
                          ::testing::ValuesIn(MakeDiffCases()), DiffCaseName);
-
-TEST(ParallelSearchTest, RejectsInvalidArguments) {
-  ScorerBundle b = MakeScorerBundle(MakeRandomGraph(1, 10));
-  SearchOptions opts;
-  ParallelSearchOptions popts;
-
-  Query empty;
-  EXPECT_FALSE(ParallelBnbSearch(*b.scorer, empty, opts, popts).ok());
-
-  Query too_many;
-  for (int i = 0; i < 32; ++i) {
-    too_many.keywords.push_back("kw" + std::to_string(i));
-  }
-  EXPECT_FALSE(ParallelBnbSearch(*b.scorer, too_many, opts, popts).ok());
-
-  Query q = Query::MustParse("kw0");
-  opts.k = 0;
-  EXPECT_FALSE(ParallelBnbSearch(*b.scorer, q, opts, popts).ok());
-
-  opts.k = 5;
-  popts.num_threads = 0;
-  EXPECT_FALSE(ParallelBnbSearch(*b.scorer, q, opts, popts).ok());
-}
-
-TEST(ParallelSearchTest, BudgetedRunsReportExhaustion) {
-  ScorerBundle b = MakeScorerBundle(MakeRandomGraph(4, 60, 4.0));
-  Query q = Query::MustParse("kw0 kw1");
-  SearchOptions opts;
-  opts.k = 10;
-  opts.max_diameter = 4;
-  opts.max_expansions = 3;
-  ParallelSearchOptions popts;
-  popts.num_threads = 4;
-  SearchStats stats;
-  auto result = ParallelBnbSearch(*b.scorer, q, opts, popts, &stats);
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(stats.budget_exhausted);
-  EXPECT_FALSE(stats.proven_optimal);
-}
-
-// Answers returned at every thread count satisfy the structural contract
-// (coverage, reducedness, graph edges, dedup) — the differential identity
-// above would otherwise only prove the parallel search wrong in the same
-// way as the serial one.
-TEST(ParallelSearchTest, AnswersAreValidAndDeduplicated) {
-  ScorerBundle b = MakeScorerBundle(MakeRandomGraph(3, 20));
-  Query q = Query::MustParse("kw0 kw1");
-  SearchOptions opts;
-  opts.k = 20;
-  opts.max_diameter = 4;
-  for (int threads : {1, 3, 8}) {
-    ParallelSearchOptions popts;
-    popts.num_threads = threads;
-    auto result = ParallelBnbSearch(*b.scorer, q, opts, popts);
-    ASSERT_TRUE(result.ok());
-    std::set<std::string> keys;
-    for (const RankedAnswer& a : *result) {
-      EXPECT_TRUE(a.tree.CoversAllKeywords(q, *b.index));
-      EXPECT_TRUE(a.tree.IsReduced(q, *b.index));
-      EXPECT_TRUE(a.tree.EdgesExistIn(b.graph));
-      EXPECT_LE(a.tree.Diameter(), opts.max_diameter);
-      EXPECT_TRUE(keys.insert(a.tree.CanonicalKey()).second);
-    }
-  }
-}
 
 }  // namespace
 }  // namespace cirank

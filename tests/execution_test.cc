@@ -1,8 +1,7 @@
 // Tests of the unified execution pipeline (core/execution.h): the
 // ExecutionContext deadline/budget guard, the executor registry, truncated
-// (best-so-far) results for serial and parallel executors, the
-// unlimited-budget exactness property, and the SearchBatch from_cache
-// marker.
+// (best-so-far) results, the unlimited-budget exactness property, and the
+// SearchBatch from_cache marker.
 #include "core/execution.h"
 
 #include <algorithm>
@@ -15,7 +14,6 @@
 
 #include "baselines/baseline_executors.h"
 #include "core/engine.h"
-#include "core/parallel_search.h"
 #include "datasets/imdb_gen.h"
 #include "tests/test_util.h"
 
@@ -69,8 +67,10 @@ TEST(ExecutionContextTest, ExpiredDeadlineTripsShouldStop) {
 TEST(ExecutorRegistryTest, CoreAndBaselineExecutorsAreRegistered) {
   ExecutorRegistry& reg = ExecutorRegistry::Global();
   EXPECT_TRUE(reg.Contains("bnb"));
-  EXPECT_TRUE(reg.Contains("parallel"));
   EXPECT_TRUE(reg.Contains("naive"));
+  // The intra-query "parallel" executor was removed; `/search` maps the
+  // name to "bnb" before it reaches the registry.
+  EXPECT_FALSE(reg.Contains("parallel"));
 
   ASSERT_TRUE(RegisterBaselineExecutors().ok());
   ASSERT_TRUE(RegisterBaselineExecutors().ok());  // idempotent
@@ -138,21 +138,6 @@ TEST(ExecutionPipelineTest, DeadlineTruncatesSerialExecutor) {
   EXPECT_EQ(stats.executor, "bnb");
 }
 
-TEST(ExecutionPipelineTest, DeadlineTruncatesParallelExecutor) {
-  ScorerBundle b = SlowBundle();
-  Query q = Query::MustParse("kw0 kw1 kw2");
-  SearchOptions opts;
-  opts.k = 10;
-  opts.executor = "parallel";
-  opts.num_threads = 4;
-  opts.deadline_ms = 1.0;
-  ExecutorEnv env{b.scorer.get(), &q, opts};
-  SearchStats stats;
-  auto r = ExecuteSearch(env, &stats);
-  ExpectWellFormedTruncation(b, q, r, stats, "parallel");
-  EXPECT_EQ(stats.executor, "parallel");
-}
-
 TEST(ExecutionPipelineTest, CandidateBudgetTruncates) {
   ScorerBundle b = SlowBundle();
   Query q = Query::MustParse("kw0 kw1");
@@ -178,24 +163,20 @@ TEST(ExecutionPipelineTest, UnlimitedBudgetReproducesExactResults) {
     auto direct = BranchAndBoundSearch(*b.scorer, q, opts);
     ASSERT_TRUE(direct.ok());
 
-    for (const char* name : {"bnb", "parallel"}) {
-      SearchOptions popts = opts;
-      popts.executor = name;
-      popts.num_threads = 2;
-      popts.deadline_ms = 0.0;
-      popts.candidate_budget = 0;
-      ExecutorEnv env{b.scorer.get(), &q, popts};
-      SearchStats stats;
-      auto r = ExecuteSearch(env, &stats);
-      ASSERT_TRUE(r.ok()) << name;
-      EXPECT_FALSE(stats.truncated) << name;
-      ASSERT_EQ(direct->size(), r->size()) << name << " seed=" << seed;
-      for (size_t i = 0; i < r->size(); ++i) {
-        EXPECT_EQ((*direct)[i].score, (*r)[i].score) << name;
-        EXPECT_EQ((*direct)[i].tree.CanonicalKey(),
-                  (*r)[i].tree.CanonicalKey())
-            << name;
-      }
+    SearchOptions popts = opts;
+    popts.executor = "bnb";
+    popts.deadline_ms = 0.0;
+    popts.candidate_budget = 0;
+    ExecutorEnv env{b.scorer.get(), &q, popts};
+    SearchStats stats;
+    auto r = ExecuteSearch(env, &stats);
+    ASSERT_TRUE(r.ok());
+    EXPECT_FALSE(stats.truncated);
+    ASSERT_EQ(direct->size(), r->size()) << "seed=" << seed;
+    for (size_t i = 0; i < r->size(); ++i) {
+      EXPECT_EQ((*direct)[i].score, (*r)[i].score) << "seed=" << seed;
+      EXPECT_EQ((*direct)[i].tree.CanonicalKey(), (*r)[i].tree.CanonicalKey())
+          << "seed=" << seed;
     }
   }
 }
@@ -247,13 +228,12 @@ TEST_F(ExecutionEngineTest, ExecutorOverrideRoutesTheQuery) {
   SearchOverrides overrides;
   overrides.k = 3;
   overrides.max_diameter = 2;
-  overrides.executor = "parallel";
-  overrides.num_threads = 2;
+  overrides.executor = "naive";
   SearchStats stats;
   auto r = engine_->Search(query_, engine_->EffectiveOptions(overrides),
                            &stats);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(stats.executor, "parallel");
+  EXPECT_EQ(stats.executor, "naive");
 }
 
 TEST_F(ExecutionEngineTest, BatchCacheHitsCarryFromCacheMarker) {

@@ -90,7 +90,7 @@ TEST(ResultCacheTest, ServingPathHitReportsOnlyMarkerExecutorAndRanker) {
   ResultCache cache(Capacity(16), nullptr, kNames);
   const Query q = Query::MustParse("kw0 kw2");
   SearchOptions options;
-  options.executor = "parallel";
+  options.executor = "naive";
   options.ranker = "rwmp_x_text";
   EXPECT_FALSE(LookupOrStore(cache, q, options, ResultCache::Path::kServing));
 
@@ -102,7 +102,7 @@ TEST(ResultCacheTest, ServingPathHitReportsOnlyMarkerExecutorAndRanker) {
   EXPECT_TRUE(
       LookupOrStore(cache, q, options, ResultCache::Path::kServing, &stats));
   EXPECT_TRUE(stats.from_cache);
-  EXPECT_EQ(stats.executor, "parallel");
+  EXPECT_EQ(stats.executor, "naive");
   EXPECT_EQ(stats.ranker, "rwmp_x_text");
   EXPECT_EQ(stats.popped, 0);
   EXPECT_EQ(stats.generated, 0);
@@ -149,15 +149,14 @@ TEST(ResultCacheTest, KeyCoversKeywordsAndSearchConfiguration) {
   EXPECT_FALSE(LookupOrStore(cache, Query::MustParse("kw0"), base,
                              ResultCache::Path::kDirect));
 
-  std::vector<SearchOptions> variants(8, base);
+  std::vector<SearchOptions> variants(7, base);
   variants[0].k = 3;
   variants[1].max_diameter = 2;
   variants[2].max_expansions = 50;
   variants[3].strict_merge_rule = true;
   variants[4].executor = "naive";
-  variants[5].num_threads = 4;
-  variants[6].ranker = "rwmp_x_text";
-  variants[7].order_by = "size asc";
+  variants[5].ranker = "rwmp_x_text";
+  variants[6].order_by = "size asc";
   for (size_t i = 0; i < variants.size(); ++i) {
     EXPECT_FALSE(LookupOrStore(cache, q, variants[i],
                                ResultCache::Path::kDirect))

@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
-#include "core/parallel_search.h"
 #include "tests/test_util.h"
 #include "util/thread_pool.h"
 
@@ -84,11 +83,10 @@ TEST(SearchStressTest, BatchSearchRacesFeedbackInvalidation) {
   EXPECT_GT(engine.FeedbackClicks(1), 0.0);
 }
 
-// The intra-query parallel search under the same kind of pressure: many
-// concurrent ParallelBnbSearch calls sharing one scorer (the scorer is
-// immutable, so this must be race-free) — each internally multi-threaded,
-// and every one must still reproduce the serial result exactly.
-TEST(SearchStressTest, ConcurrentParallelSearchesShareScorer) {
+// Many concurrent BranchAndBoundSearch calls sharing one scorer (the scorer
+// is immutable, so this must be race-free); every one must still reproduce
+// the serial result exactly.
+TEST(SearchStressTest, ConcurrentSearchesShareScorer) {
   ScorerBundle b = MakeScorerBundle(MakeRandomGraph(23, 40, 4.0));
   SearchOptions opts;
   opts.k = 5;
@@ -104,8 +102,8 @@ TEST(SearchStressTest, ConcurrentParallelSearchesShareScorer) {
     for (int t = 0; t < 4; ++t) {
       pool.Submit([&] {
         for (int i = 0; i < 3; ++i) {
-          auto r = ParallelBnbSearch(*b.scorer, Query::MustParse("kw0 kw1"), opts,
-                                     {2});
+          auto r = BranchAndBoundSearch(*b.scorer, Query::MustParse("kw0 kw1"),
+                                        opts);
           if (!r.ok() || r->size() != reference->size()) {
             mismatches.fetch_add(1, std::memory_order_relaxed);
             continue;

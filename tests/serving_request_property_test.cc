@@ -194,6 +194,26 @@ TEST(ServingRequestPropertyTest, ValidBodyStaysValidUnderNoOpMutation) {
   EXPECT_EQ(parsed->normalized_query, "tom hanks 1994");
 }
 
+// `num_threads` is a deprecated no-op, but a value outside [1, 512] is
+// still the 400 it always was.
+TEST(ServingRequestPropertyTest, DeprecatedNumThreadsKeepsItsRangeCheck) {
+  for (const char* n : {"0", "513"}) {
+    Result<SearchRequest> parsed = ParseSearchRequest(
+        std::string("{\"query\":\"kw0\",\"num_threads\":") + n + "}");
+    ASSERT_FALSE(parsed.ok()) << n;
+    EXPECT_TRUE(parsed.status().IsInvalidArgument()) << n;
+    EXPECT_NE(parsed.status().message().find("num_threads"),
+              std::string::npos)
+        << parsed.status().ToString();
+  }
+  for (const char* n : {"1", "512"}) {
+    Result<SearchRequest> parsed = ParseSearchRequest(
+        std::string("{\"query\":\"kw0\",\"num_threads\":") + n + "}");
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_NE(parsed->deprecation_note.find("num_threads"), std::string::npos);
+  }
+}
+
 TEST(ServingRequestPropertyTest, ParseHttpRequestHeadNeverCrashes) {
   Rng rng(0xC1BA5E04);
   const std::string valid_head =

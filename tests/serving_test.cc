@@ -34,6 +34,15 @@ using testing_util::ServingHarnessDiagnostics;
       << lhs##_result.status().ToString();                 \
   auto lhs = std::move(lhs##_result).value()
 
+// The "answers" member of a /search response body, byte for byte.
+std::string AnswersOf(const std::string& body) {
+  const size_t begin = body.find("\"answers\":");
+  const size_t end = body.find(",\"stats\":");
+  EXPECT_NE(begin, std::string::npos) << body;
+  EXPECT_NE(end, std::string::npos) << body;
+  return body.substr(begin, end - begin);
+}
+
 TEST(ServingTest, SearchMatchesDirectEngineByteForByte) {
   // Cache disabled: both sides must independently compute — byte equality
   // then certifies the whole parse → search → render path, not memoization.
@@ -162,15 +171,7 @@ TEST(ServingTest, CompositeWithZeroTextWeightEqualsPureRwmp) {
                    "\"composite_rwmp_weight\":1.0,"
                    "\"composite_text_weight\":0.0}"));
   ASSERT_EQ(composite.status_code, 200) << composite.body;
-
-  const auto answers_of = [](const std::string& body) {
-    const size_t begin = body.find("\"answers\":");
-    const size_t end = body.find(",\"stats\":");
-    EXPECT_NE(begin, std::string::npos) << body;
-    EXPECT_NE(end, std::string::npos) << body;
-    return body.substr(begin, end - begin);
-  };
-  EXPECT_EQ(answers_of(plain.body), answers_of(composite.body));
+  EXPECT_EQ(AnswersOf(plain.body), AnswersOf(composite.body));
 }
 
 // Pre-split clients sent executor names through 'ranker'; the alias still
@@ -187,6 +188,54 @@ TEST(ServingTest, ExecutorAliasInRankerFieldWarnsButWorks) {
   EXPECT_NE(response.body.find("deprecated"), std::string::npos);
   EXPECT_NE(response.body.find("\"executor\":\"bnb\""), std::string::npos)
       << response.body;
+}
+
+// The removed intra-query executor's spellings stay accepted for one
+// release: "parallel" runs "bnb" and `num_threads` is ignored, each with a
+// note in the response's "warning". The answers are the plain request's,
+// and the thread count no longer gives a request a cache entry of its own.
+TEST(ServingTest, RemovedParallelExecutorAndNumThreadsWarnButWork) {
+  auto h = MakeServingHarness(/*seed=*/5, /*num_nodes=*/120,
+                              /*cache_capacity=*/64);
+  const auto deprecated_body = [](int threads) {
+    return "{\"query\":\"kw0 kw1\",\"k\":3,\"executor\":\"parallel\","
+           "\"num_threads\":" +
+           std::to_string(threads) + "}";
+  };
+  ASSERT_OK_AND_MOVE(deprecated,
+                     h->RoundTrip("POST", "/search", deprecated_body(4)));
+  ASSERT_EQ(deprecated.status_code, 200) << deprecated.body;
+  EXPECT_NE(deprecated.body.find("\"executor\":\"bnb\""), std::string::npos)
+      << deprecated.body;
+  EXPECT_NE(deprecated.body.find("\"from_cache\":false"), std::string::npos)
+      << deprecated.body;
+  const size_t warning = deprecated.body.find("\"warning\":");
+  EXPECT_NE(warning, std::string::npos) << deprecated.body;
+  EXPECT_NE(deprecated.body.find("'executor'", warning), std::string::npos)
+      << deprecated.body;
+  EXPECT_NE(deprecated.body.find("'num_threads'", warning), std::string::npos)
+      << deprecated.body;
+
+  // Computed fresh, outside every cache.
+  const Query query = Query::MustParse("kw0 kw1");
+  ASSERT_OK_AND_MOVE(
+      direct, h->engine->Search(query, h->engine->EffectiveOptions(
+                                           SearchOverrides().WithK(3))));
+  EXPECT_EQ(AnswersOf(deprecated.body),
+            "\"answers\":" + serve::RenderAnswersJson(direct, h->graph));
+
+  ASSERT_OK_AND_MOVE(plain, h->RoundTrip("POST", "/search",
+                                         "{\"query\":\"kw0 kw1\",\"k\":3}"));
+  ASSERT_EQ(plain.status_code, 200) << plain.body;
+  EXPECT_EQ(AnswersOf(plain.body), AnswersOf(deprecated.body));
+  EXPECT_EQ(plain.body.find("\"warning\":"), std::string::npos) << plain.body;
+
+  ASSERT_OK_AND_MOVE(other_count,
+                     h->RoundTrip("POST", "/search", deprecated_body(2)));
+  ASSERT_EQ(other_count.status_code, 200) << other_count.body;
+  EXPECT_NE(other_count.body.find("\"from_cache\":true"), std::string::npos)
+      << other_count.body;
+  EXPECT_EQ(AnswersOf(other_count.body), AnswersOf(deprecated.body));
 }
 
 TEST(ServingTest, UnknownRankerIs400ListingRegistered) {

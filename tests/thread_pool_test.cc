@@ -1,5 +1,5 @@
-// Unit tests for the worker pool that backs SearchBatch and the parallel
-// branch-and-bound search.
+// Unit tests for the worker pool that backs SearchBatch, the server's
+// workers and the shard scatter.
 #include "util/thread_pool.h"
 
 #include <atomic>
