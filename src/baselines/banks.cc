@@ -1,9 +1,13 @@
 #include "baselines/banks.h"
 
 #include <algorithm>
-#include <map>
+#include <limits>
 #include <queue>
 #include <set>
+#include <utility>
+
+#include "core/topk.h"
+#include "util/check.h"
 
 namespace cirank {
 
@@ -50,6 +54,64 @@ double BanksScorer::Score(const Jtt& tree, const Query& query,
   return NodeScore(tree, query, index) * EdgeScore(tree);
 }
 
+std::vector<RankedAnswer> AssembleAnswers(const InvertedIndex& index,
+                                          const Ranker& ranker,
+                                          const Query& query,
+                                          const NextHopLabels& next_hop, int k,
+                                          uint32_t max_diameter,
+                                          ExecutionContext* ctx) {
+  TopKAnswers answers(static_cast<size_t>(k));
+  const size_t num_nodes = next_hop.empty() ? 0 : next_hop.front().size();
+  for (NodeId root = 0; root < num_nodes; ++root) {
+    if (ctx != nullptr && ctx->ShouldStop()) break;
+    const bool reached_by_all = std::all_of(
+        next_hop.begin(), next_hop.end(),
+        [root](const std::vector<NodeId>& hops) {
+          return hops[root] != kInvalidNode;
+        });
+    if (!reached_by_all) continue;
+
+    std::set<std::pair<NodeId, NodeId>> undirected;
+    std::set<NodeId> nodes{root};
+    for (const std::vector<NodeId>& hops : next_hop) {
+      for (NodeId v = root, n; (n = hops[v]) != v; v = n) {
+        CIRANK_DCHECK(n != kInvalidNode) << "next hop leaves the labels";
+        undirected.insert({std::min(v, n), std::max(v, n)});
+        nodes.insert(n);
+      }
+    }
+    if (undirected.size() + 1 != nodes.size()) continue;  // paths collided
+
+    std::vector<std::pair<NodeId, NodeId>> edges;
+    std::set<NodeId> placed{root};
+    std::vector<NodeId> stack{root};
+    while (!stack.empty()) {
+      const NodeId u = stack.back();
+      stack.pop_back();
+      for (const auto& [a, b] : undirected) {
+        NodeId other = kInvalidNode;
+        if (a == u && !placed.count(b)) other = b;
+        if (b == u && !placed.count(a)) other = a;
+        if (other == kInvalidNode) continue;
+        edges.emplace_back(u, other);
+        placed.insert(other);
+        stack.push_back(other);
+      }
+    }
+    Result<Jtt> tree = Jtt::Create(root, std::move(edges));
+    if (!tree.ok() || tree->Diameter() > max_diameter ||
+        !tree->CoversAllKeywords(query, index)) {
+      continue;
+    }
+    // A tree that exhausts the budget is still offered; the next root's
+    // ShouldStop ends the assembly.
+    if (ctx != nullptr) (void)ctx->ChargeCandidates();
+    const double score = ranker.ScoreAnswer(*tree, query);
+    answers.Offer(std::move(tree).value(), score);
+  }
+  return answers.Take();
+}
+
 Result<std::vector<RankedAnswer>> BanksSearch(
     const Graph& graph, const InvertedIndex& index, const Ranker& ranker,
     const Query& query, const BanksSearchOptions& options,
@@ -59,14 +121,14 @@ Result<std::vector<RankedAnswer>> BanksSearch(
 
   // Per keyword: multi-source Dijkstra backwards along in-edges (an answer
   // path runs root -> keyword node, so we walk keyword node -> root against
-  // edge direction). Costs are reciprocal mean edge weights.
+  // edge direction). Costs are reciprocal mean edge weights; each settled
+  // node's next hop leads toward the keyword node.
   const size_t m = query.size();
-  struct Label {
-    double cost = std::numeric_limits<double>::infinity();
-    NodeId next_hop = kInvalidNode;  // toward the keyword node
-  };
-  std::vector<std::vector<Label>> labels(
-      m, std::vector<Label>(graph.num_nodes()));
+  std::vector<std::vector<double>> best_cost(
+      m, std::vector<double>(graph.num_nodes(),
+                             std::numeric_limits<double>::infinity()));
+  NextHopLabels next_hop(m,
+                         std::vector<NodeId>(graph.num_nodes(), kInvalidNode));
 
   auto edge_cost = [&](NodeId a, NodeId b) {
     const double w = (graph.edge_weight(a, b) + graph.edge_weight(b, a)) / 2.0;
@@ -78,7 +140,8 @@ Result<std::vector<RankedAnswer>> BanksSearch(
     using Entry = std::pair<double, NodeId>;
     std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap;
     for (NodeId v : index.MatchingNodes(query.keywords[ki])) {
-      labels[ki][v] = Label{0.0, kInvalidNode};
+      best_cost[ki][v] = 0.0;
+      next_hop[ki][v] = v;
       heap.push({0.0, v});
     }
     std::vector<uint32_t> hop_count(graph.num_nodes(),
@@ -88,14 +151,15 @@ Result<std::vector<RankedAnswer>> BanksSearch(
       if (ctx != nullptr && ctx->ShouldStop()) break;
       auto [cost, v] = heap.top();
       heap.pop();
-      if (cost > labels[ki][v].cost) continue;
+      if (cost > best_cost[ki][v]) continue;
       if (++iterations > options.max_iterations) break;
       if (hop_count[v] >= options.max_diameter) continue;
       for (const Edge& e : graph.in_edges(v)) {
         const NodeId u = e.to;  // predecessor in graph direction
         const double c = cost + edge_cost(u, v);
-        if (c < labels[ki][u].cost) {
-          labels[ki][u] = Label{c, v};
+        if (c < best_cost[ki][u]) {
+          best_cost[ki][u] = c;
+          next_hop[ki][u] = v;
           hop_count[u] = hop_count[v] + 1;
           heap.push({c, u});
         }
@@ -103,74 +167,8 @@ Result<std::vector<RankedAnswer>> BanksSearch(
     }
   }
 
-  // Roots where all keywords meet; assemble one tree per root from the
-  // per-keyword best paths.
-  struct Scored {
-    Jtt tree;
-    double score;
-  };
-  std::vector<Scored> found;
-  std::set<std::string> seen;
-  for (NodeId r = 0; r < graph.num_nodes(); ++r) {
-    if (ctx != nullptr && ctx->ShouldStop()) break;
-    bool all = true;
-    for (size_t ki = 0; ki < m; ++ki) {
-      if (labels[ki][r].cost == std::numeric_limits<double>::infinity()) {
-        all = false;
-        break;
-      }
-    }
-    if (!all) continue;
-
-    std::set<std::pair<NodeId, NodeId>> undirected;
-    std::set<NodeId> nodes{r};
-    for (size_t ki = 0; ki < m; ++ki) {
-      NodeId v = r;
-      while (labels[ki][v].next_hop != kInvalidNode) {
-        NodeId n = labels[ki][v].next_hop;
-        undirected.insert({std::min(v, n), std::max(v, n)});
-        nodes.insert(n);
-        v = n;
-      }
-    }
-    if (undirected.size() + 1 != nodes.size()) continue;  // paths collided
-
-    // Orient from the root.
-    std::vector<std::pair<NodeId, NodeId>> edges;
-    std::set<NodeId> placed{r};
-    std::vector<NodeId> frontier{r};
-    while (!frontier.empty()) {
-      NodeId u = frontier.back();
-      frontier.pop_back();
-      for (const auto& [a, b] : undirected) {
-        NodeId other = kInvalidNode;
-        if (a == u && !placed.count(b)) other = b;
-        if (b == u && !placed.count(a)) other = a;
-        if (other == kInvalidNode) continue;
-        edges.emplace_back(u, other);
-        placed.insert(other);
-        frontier.push_back(other);
-      }
-    }
-    Result<Jtt> tree = Jtt::Create(r, std::move(edges));
-    if (!tree.ok()) continue;
-    if (tree->Diameter() > options.max_diameter) continue;
-    if (!tree->CoversAllKeywords(query, index)) continue;
-    if (!seen.insert(tree->CanonicalKey()).second) continue;
-    const double s = ranker.ScoreAnswer(*tree, query);
-    found.push_back(Scored{std::move(tree).value(), s});
-  }
-
-  std::sort(found.begin(), found.end(), [](const Scored& a, const Scored& b) {
-    if (a.score != b.score) return a.score > b.score;
-    return a.tree.CanonicalKey() < b.tree.CanonicalKey();
-  });
-  std::vector<RankedAnswer> out;
-  for (size_t i = 0; i < found.size() && i < static_cast<size_t>(options.k);
-       ++i) {
-    out.push_back(RankedAnswer{std::move(found[i].tree), found[i].score});
-  }
-  return out;
+  return AssembleAnswers(index, ranker, query, next_hop, options.k,
+                         options.max_diameter, ctx);
 }
 
 }  // namespace cirank

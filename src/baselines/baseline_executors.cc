@@ -16,9 +16,9 @@ namespace cirank {
 namespace {
 
 // BANKS and bidirectional share their executor shape: the baseline's own
-// *enumeration* runs inside Expand with the context's guard, scoring goes
-// through the registry's "banks" ranker, and Emit hands over whatever was
-// assembled.
+// *enumeration* runs inside Expand with the context's guard (each assembled
+// tree is a charged candidate), scoring goes through the registry's "banks"
+// ranker, and Emit hands over whatever was assembled.
 class BanksFamilyExecutor final : public SearchExecutor {
  public:
   BanksFamilyExecutor(const ExecutorEnv& env, bool bidirectional)
@@ -60,8 +60,7 @@ class BanksFamilyExecutor final : public SearchExecutor {
       CIRANK_ASSIGN_OR_RETURN(
           answers_, BanksSearch(graph, index, *ranker_, query_, opts, &ctx));
     }
-    ctx.stages().candidates_generated =
-        static_cast<int64_t>(answers_.size());
+    ctx.stages().candidates_generated = ctx.candidates_charged();
     return ctx.stopped() ? ctx.stop_status() : Status::OK();
   }
 

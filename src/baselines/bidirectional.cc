@@ -1,19 +1,17 @@
 #include "baselines/bidirectional.h"
 
-#include <algorithm>
 #include <limits>
 #include <queue>
-#include <set>
 
 namespace cirank {
 
 namespace {
 
-// Per-(keyword, node) reach record during activation spreading.
+// Per-(keyword, node) reach record during activation spreading; the next
+// hop toward the cluster is kept in the NextHopLabels beside it.
 struct Reach {
   double activation = 0.0;
   uint32_t hops = std::numeric_limits<uint32_t>::max();
-  NodeId toward_keyword = kInvalidNode;  // next hop toward the cluster
 };
 
 }  // namespace
@@ -31,6 +29,8 @@ Result<std::vector<RankedAnswer>> BidirectionalSearch(
   const size_t m = query.size();
   std::vector<std::vector<Reach>> reach(m,
                                         std::vector<Reach>(graph.num_nodes()));
+  NextHopLabels next_hop(m,
+                         std::vector<NodeId>(graph.num_nodes(), kInvalidNode));
 
   // One shared frontier prioritized by activation (the "bidirectional"
   // element: clusters reached from important matches spread first).
@@ -51,7 +51,8 @@ Result<std::vector<RankedAnswer>> BidirectionalSearch(
     // Initial activation splits the cluster's unit mass over its origins.
     const double a0 = 1.0 / static_cast<double>(matches.size());
     for (NodeId v : matches) {
-      reach[ki][v] = Reach{a0, 0, kInvalidNode};
+      reach[ki][v] = Reach{a0, 0};
+      next_hop[ki][v] = v;
       frontier.push(Entry{a0, static_cast<uint32_t>(ki), v});
     }
   }
@@ -73,78 +74,15 @@ Result<std::vector<RankedAnswer>> BidirectionalSearch(
       const double spread = e.activation * options.activation_decay;
       Reach& r = reach[e.cluster][u];
       if (spread > r.activation) {
-        r = Reach{spread, cur.hops + 1, e.node};
+        r = Reach{spread, cur.hops + 1};
+        next_hop[e.cluster][u] = e.node;
         frontier.push(Entry{spread, e.cluster, u});
       }
     }
   }
 
-  // Roots reached by every cluster yield answers.
-  struct Scored {
-    Jtt tree;
-    double score;
-  };
-  std::vector<Scored> found;
-  std::set<std::string> seen;
-  for (NodeId root = 0; root < graph.num_nodes(); ++root) {
-    if (ctx != nullptr && ctx->ShouldStop()) break;
-    bool all = true;
-    for (size_t ki = 0; ki < m; ++ki) {
-      if (reach[ki][root].activation <= 0.0) {
-        all = false;
-        break;
-      }
-    }
-    if (!all) continue;
-
-    std::set<std::pair<NodeId, NodeId>> undirected;
-    std::set<NodeId> nodes{root};
-    for (size_t ki = 0; ki < m; ++ki) {
-      NodeId v = root;
-      while (reach[ki][v].toward_keyword != kInvalidNode) {
-        const NodeId n = reach[ki][v].toward_keyword;
-        undirected.insert({std::min(v, n), std::max(v, n)});
-        nodes.insert(n);
-        v = n;
-      }
-    }
-    if (undirected.size() + 1 != nodes.size()) continue;  // paths collided
-
-    std::vector<std::pair<NodeId, NodeId>> edges;
-    std::set<NodeId> placed{root};
-    std::vector<NodeId> stack{root};
-    while (!stack.empty()) {
-      NodeId u = stack.back();
-      stack.pop_back();
-      for (const auto& [a, b] : undirected) {
-        NodeId other = kInvalidNode;
-        if (a == u && !placed.count(b)) other = b;
-        if (b == u && !placed.count(a)) other = a;
-        if (other == kInvalidNode) continue;
-        edges.emplace_back(u, other);
-        placed.insert(other);
-        stack.push_back(other);
-      }
-    }
-    Result<Jtt> tree = Jtt::Create(root, std::move(edges));
-    if (!tree.ok()) continue;
-    if (tree->Diameter() > options.max_diameter) continue;
-    if (!tree->CoversAllKeywords(query, index)) continue;
-    if (!seen.insert(tree->CanonicalKey()).second) continue;
-    found.push_back(
-        Scored{*tree, ranker.ScoreAnswer(*tree, query)});
-  }
-
-  std::sort(found.begin(), found.end(), [](const Scored& a, const Scored& b) {
-    if (a.score != b.score) return a.score > b.score;
-    return a.tree.CanonicalKey() < b.tree.CanonicalKey();
-  });
-  std::vector<RankedAnswer> out;
-  for (size_t i = 0; i < found.size() && i < static_cast<size_t>(options.k);
-       ++i) {
-    out.push_back(RankedAnswer{std::move(found[i].tree), found[i].score});
-  }
-  return out;
+  return AssembleAnswers(index, ranker, query, next_hop, options.k,
+                         options.max_diameter, ctx);
 }
 
 }  // namespace cirank

@@ -25,10 +25,11 @@ struct BidirectionalSearchOptions {
   int64_t max_iterations = 500000;
 };
 
-// The search only *enumerates* — assembled trees are scored by `ranker`
-// (the "banks" ranker for the classic baseline). A non-null `ctx` applies
-// the execution pipeline's deadline/budget guard: when it fires the search
-// stops expanding and returns the answers assembled so far.
+// The search only *enumerates* — trees assembled from the per-cluster next
+// hops (AssembleAnswers, baselines/banks.h) are scored by `ranker` (the
+// "banks" ranker for the classic baseline). A non-null `ctx` applies the
+// execution pipeline's deadline/budget guard, charging each assembled tree:
+// when it fires the search stops and returns the answers assembled so far.
 [[nodiscard]] Result<std::vector<RankedAnswer>> BidirectionalSearch(
     const Graph& graph, const InvertedIndex& index, const Ranker& ranker,
     const Query& query, const BidirectionalSearchOptions& options = {},

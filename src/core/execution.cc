@@ -17,11 +17,16 @@ namespace cirank {
 ExecutionContext::ExecutionContext(const ExecutionLimits& limits)
     : limits_(limits) {
   if (limits_.deadline_ms > 0.0) {
-    has_deadline_ = true;
-    deadline_ = std::chrono::steady_clock::now() +
-                std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                    std::chrono::duration<double, std::milli>(
-                        limits_.deadline_ms));
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point now = Clock::now();
+    const std::chrono::duration<double, std::milli> wanted(limits_.deadline_ms);
+    // Saturate: a deadline the clock cannot represent never fires. Half the
+    // headroom keeps the double comparison's rounding from letting an
+    // overflowing cast through.
+    has_deadline_ = wanted < (Clock::time_point::max() - now) / 2.0;
+    if (has_deadline_) {
+      deadline_ = now + std::chrono::duration_cast<Clock::duration>(wanted);
+    }
   }
 }
 

@@ -100,7 +100,9 @@ struct SearchStats {
 // Per-query execution context.
 
 struct ExecutionLimits {
-  double deadline_ms = 0.0;      // 0 = no deadline
+  // 0 = no deadline; one too far off for the clock to represent never
+  // fires.
+  double deadline_ms = 0.0;
   int64_t candidate_budget = 0;  // 0 = unlimited
 
   static ExecutionLimits FromOptions(const SearchOptions& options) {

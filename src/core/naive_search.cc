@@ -9,37 +9,12 @@
 #include <utility>
 
 #include "core/ranker.h"
-
+#include "core/topk.h"
 #include "graph/traversal.h"
 
 namespace cirank {
 
 namespace {
-
-// Sorted answer accumulator with canonical-key deduplication.
-class AnswerCollector {
- public:
-  explicit AnswerCollector(size_t k) : k_(k) {}
-
-  void Offer(const Jtt& tree, double score) {
-    if (!seen_.insert(tree.CanonicalKey()).second) return;
-    answers_.push_back(RankedAnswer{tree, score});
-    std::sort(answers_.begin(), answers_.end(),
-              [](const RankedAnswer& a, const RankedAnswer& b) {
-                if (a.score != b.score) return a.score > b.score;
-                return a.tree.CanonicalKey() < b.tree.CanonicalKey();
-              });
-    if (answers_.size() > k_) answers_.resize(k_);
-  }
-
-  size_t distinct() const { return seen_.size(); }
-  std::vector<RankedAnswer> Take() { return std::move(answers_); }
-
- private:
-  size_t k_;
-  std::vector<RankedAnswer> answers_;
-  std::set<std::string> seen_;
-};
 
 // Per-source BFS record: distance and every BFS-level predecessor, so all
 // shortest paths can be reconstructed.
@@ -284,9 +259,10 @@ class NaiveExecutor final : public SearchExecutor {
   }
 
   Status Expand(ExecutionContext& ctx) override {
-    for (const Jtt& tree : pool_) {
+    for (Jtt& tree : pool_) {
       if (ctx.ShouldStop()) return ctx.stop_status();
-      answers_.Offer(tree, ranker_->ScoreAnswer(tree, query_));
+      const double score = ranker_->ScoreAnswer(tree, query_);
+      if (answers_.Offer(std::move(tree), score)) ++answers_found_;
       ++scored_;
     }
     return Status::OK();
@@ -300,7 +276,7 @@ class NaiveExecutor final : public SearchExecutor {
   void FillStats(SearchStats* stats) const override {
     stats->ranker = std::string(ranker_->name());
     stats->generated = scored_;
-    stats->answers_found = static_cast<int64_t>(answers_.distinct());
+    stats->answers_found = answers_found_;
   }
 
  private:
@@ -311,8 +287,9 @@ class NaiveExecutor final : public SearchExecutor {
   const SearchOptions search_options_;
   std::unique_ptr<Ranker> ranker_;
   std::vector<Jtt> pool_;
-  AnswerCollector answers_;
+  TopKAnswers answers_;
   int64_t scored_ = 0;
+  int64_t answers_found_ = 0;
 };
 
 Result<std::unique_ptr<SearchExecutor>> MakeNamedNaiveExecutor(
@@ -369,7 +346,7 @@ Result<std::vector<RankedAnswer>> ExhaustiveSearch(
 
   const Graph& graph = scorer.model().graph();
   const InvertedIndex& index = scorer.index();
-  AnswerCollector answers(static_cast<size_t>(options.k));
+  TopKAnswers answers(static_cast<size_t>(options.k));
 
   // BFS over tree space: every connected subtree up to max_nodes, dedup by
   // canonical key.

@@ -30,7 +30,6 @@ SearchOptions MergeOverrides(const SearchOptions& base,
   if (overrides.composite_text_weight.has_value()) {
     merged.composite_text_weight = *overrides.composite_text_weight;
   }
-  if (overrides.bounds != nullptr) merged.bounds = overrides.bounds;
   return merged;
 }
 

@@ -114,8 +114,6 @@ struct SearchOverrides {
   std::optional<std::string> order_by;
   std::optional<double> composite_rwmp_weight;
   std::optional<double> composite_text_weight;
-  // Non-null replaces the engine default's bound provider.
-  const PairwiseBoundProvider* bounds = nullptr;
 
   // --- Fluent builder -----------------------------------------------------
   // Each setter returns *this so calls chain:
@@ -160,10 +158,6 @@ struct SearchOverrides {
                                         double text_weight) {
     composite_rwmp_weight = rwmp_weight;
     composite_text_weight = text_weight;
-    return *this;
-  }
-  SearchOverrides& WithBounds(const PairwiseBoundProvider* value) {
-    bounds = value;
     return *this;
   }
 };

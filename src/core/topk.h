@@ -1,8 +1,9 @@
-// Support for the branch-and-bound top-k search: the top-k answer
-// accumulator, the arena entry of an admitted candidate and the per-root
-// merge registry. The shard gather folds per-shard lists through the same
-// accumulator, so the merged list applies the search's own dedup and
-// tie-breaking rules — the sharded differential tests depend on that.
+// The one answer order and the top-k accumulator every executor ranks
+// through, plus branch-and-bound's arena entry of an admitted candidate and
+// its per-root merge registry. The shard gather folds per-shard lists
+// through the same accumulator, so the merged list applies the search's own
+// dedup and tie-breaking rules — the sharded differential tests depend on
+// that.
 #ifndef CIRANK_CORE_TOPK_H_
 #define CIRANK_CORE_TOPK_H_
 
@@ -96,11 +97,21 @@ class RootRegistry {
   NodeMap<Chain> chains_;
 };
 
+// The answer order: score descending, then canonical tree key ascending, so
+// equal scores break the same way in every ranked list. TopKAnswers keeps
+// its answers in this order and EvaluateRanker ranks its pools by it.
+inline bool RanksBefore(double score_a, const Jtt& a, double score_b,
+                        const Jtt& b) {
+  if (score_a != score_b) return score_a > score_b;
+  return a.CanonicalKey() < b.CanonicalKey();
+}
+
 // Maintains the current top-k answers, deduplicated by canonical tree key
-// and ordered by (score descending, canonical key ascending). NOT
-// thread-safe. Offered trees should already be in canonical form (see
-// Jtt::Canonicalized) so the stored instances — and hence the bytes of the
-// final result — do not depend on which derivation reached a tree first.
+// and kept in RanksBefore order. NOT thread-safe. A duplicate keeps the
+// instance offered first, so a caller whose offer order depends on the
+// derivation (bnb) offers canonical forms (see Jtt::Canonicalized): the
+// bytes of the final result then do not depend on which derivation reached
+// a tree first.
 class TopKAnswers {
  public:
   explicit TopKAnswers(size_t k) : k_(k) {}
@@ -118,8 +129,7 @@ class TopKAnswers {
     answers_.push_back(RankedAnswer{std::move(tree), score});
     std::sort(answers_.begin(), answers_.end(),
               [](const RankedAnswer& a, const RankedAnswer& b) {
-                if (a.score != b.score) return a.score > b.score;
-                return a.tree.CanonicalKey() < b.tree.CanonicalKey();
+                return RanksBefore(a.score, a.tree, b.score, b.tree);
               });
     if (answers_.size() > k_) answers_.resize(k_);
     if (was_full) {

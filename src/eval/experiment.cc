@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "core/topk.h"
 #include "eval/metrics.h"
 
 namespace cirank {
@@ -53,8 +54,7 @@ RankerEffectiveness EvaluateRanker(const std::vector<QueryPool>& pools,
       scores[i] = ranker.ScoreAnswer(qp.pool[i], qp.query.query);
     }
     std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      if (scores[a] != scores[b]) return scores[a] > scores[b];
-      return qp.pool[a].CanonicalKey() < qp.pool[b].CanonicalKey();
+      return RanksBefore(scores[a], qp.pool[a], scores[b], qp.pool[b]);
     });
 
     std::vector<bool> best_by_rank;

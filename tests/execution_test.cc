@@ -1,11 +1,14 @@
 // Tests of the unified execution pipeline (core/execution.h): the
-// ExecutionContext deadline/budget guard, the executor registry, truncated
-// (best-so-far) results, the unlimited-budget exactness property, and the
-// SearchBatch from_cache marker.
+// ExecutionContext deadline/budget guard, the executor registry and every
+// executor's answer order, truncated (best-so-far) results, the
+// unlimited-budget exactness property, and the SearchBatch from_cache
+// marker.
 #include "core/execution.h"
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,6 +17,7 @@
 
 #include "baselines/baseline_executors.h"
 #include "core/engine.h"
+#include "core/topk.h"
 #include "datasets/imdb_gen.h"
 #include "tests/test_util.h"
 
@@ -27,13 +31,18 @@ using testing_util::ScorerBundle;
 // --- ExecutionContext guard ------------------------------------------------
 
 TEST(ExecutionContextTest, UnlimitedContextNeverStops) {
-  ExecutionContext ctx;
-  for (int i = 0; i < 1000; ++i) {
-    EXPECT_TRUE(ctx.ChargeCandidates());
-    EXPECT_FALSE(ctx.ShouldStop());
+  // No deadline, or one past what steady_clock can represent: that one
+  // saturates instead of wrapping into the past.
+  for (double deadline_ms :
+       {0.0, 1e300, std::numeric_limits<double>::infinity()}) {
+    ExecutionContext ctx(ExecutionLimits{deadline_ms, /*candidate_budget=*/0});
+    for (int i = 0; i < 1000; ++i) {
+      ASSERT_TRUE(ctx.ChargeCandidates()) << deadline_ms << " ms, call " << i;
+      ASSERT_FALSE(ctx.ShouldStop()) << deadline_ms << " ms, call " << i;
+    }
+    EXPECT_FALSE(ctx.stopped()) << deadline_ms;
+    EXPECT_TRUE(ctx.stop_status().ok()) << deadline_ms;
   }
-  EXPECT_FALSE(ctx.stopped());
-  EXPECT_TRUE(ctx.stop_status().ok());
 }
 
 TEST(ExecutionContextTest, CandidateBudgetLatchesStop) {
@@ -64,6 +73,21 @@ TEST(ExecutionContextTest, ExpiredDeadlineTripsShouldStop) {
 
 // --- Registry --------------------------------------------------------------
 
+// The small IMDB graph the registry and engine tests search.
+Dataset SmallImdbDataset() {
+  ImdbGenOptions opts;
+  opts.num_movies = 40;
+  opts.num_actors = 50;
+  opts.num_actresses = 25;
+  opts.num_directors = 10;
+  opts.num_producers = 6;
+  opts.num_companies = 4;
+  opts.seed = 77;
+  auto ds = BuildImdbDataset(opts);
+  CIRANK_CHECK_OK(ds.status());
+  return std::move(ds).value();
+}
+
 TEST(ExecutorRegistryTest, CoreAndBaselineExecutorsAreRegistered) {
   ExecutorRegistry& reg = ExecutorRegistry::Global();
   EXPECT_TRUE(reg.Contains("bnb"));
@@ -80,6 +104,35 @@ TEST(ExecutorRegistryTest, CoreAndBaselineExecutorsAreRegistered) {
 
   const std::vector<std::string> names = reg.Names();
   EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
+
+  // Every executor's answers follow the one answer order (TopKAnswers): at
+  // most k, distinct trees, score descending with ties by canonical key.
+  const Dataset ds = SmallImdbDataset();
+  auto engine = CiRankEngine::Builder(ds.graph).Build();
+  ASSERT_TRUE(engine.ok());
+  constexpr int kK = 5;
+  for (const std::string& name : names) {
+    size_t total = 0;
+    for (size_t i = 0; i < 3; ++i) {
+      const Query q =
+          Query::MustParse(ds.graph.text_of(ds.nodes_by_relation[1][i]));
+      auto r = engine->Search(q, SearchOverrides().WithK(kK).WithExecutor(name));
+      ASSERT_TRUE(r.ok()) << name << " query " << i;
+      EXPECT_LE(r->size(), static_cast<size_t>(kK)) << name << " query " << i;
+      std::set<std::string> keys;
+      for (size_t j = 0; j < r->size(); ++j) {
+        const RankedAnswer& a = (*r)[j];
+        EXPECT_TRUE(keys.insert(a.tree.CanonicalKey()).second)
+            << name << " query " << i << " rank " << j;
+        if (j == 0) continue;
+        const RankedAnswer& prev = (*r)[j - 1];
+        EXPECT_TRUE(RanksBefore(prev.score, prev.tree, a.score, a.tree))
+            << name << " query " << i << " rank " << j;
+      }
+      total += r->size();
+    }
+    EXPECT_GT(total, 0u) << name;
+  }
 }
 
 TEST(ExecutorRegistryTest, DuplicateRegistrationFails) {
@@ -139,16 +192,22 @@ TEST(ExecutionPipelineTest, DeadlineTruncatesSerialExecutor) {
 }
 
 TEST(ExecutionPipelineTest, CandidateBudgetTruncates) {
+  ASSERT_TRUE(RegisterBaselineExecutors().ok());
   ScorerBundle b = SlowBundle();
   Query q = Query::MustParse("kw0 kw1");
-  SearchOptions opts;
-  opts.k = 10;
-  opts.executor = "bnb";
-  opts.candidate_budget = 16;
-  ExecutorEnv env{b.scorer.get(), &q, opts};
-  SearchStats stats;
-  auto r = ExecuteSearch(env, &stats);
-  ExpectWellFormedTruncation(b, q, r, stats, "budget");
+  constexpr int64_t kBudget = 16;
+  for (const std::string& name : ExecutorRegistry::Global().Names()) {
+    SearchOptions opts;
+    opts.k = 10;
+    opts.executor = name;
+    opts.candidate_budget = kBudget;
+    ExecutorEnv env{b.scorer.get(), &q, opts};
+    SearchStats stats;
+    auto r = ExecuteSearch(env, &stats);
+    ExpectWellFormedTruncation(b, q, r, stats, name);
+    // The stage counters report the candidates charged past the budget.
+    EXPECT_GT(stats.stages.candidates_generated, kBudget) << name;
+  }
 }
 
 // Property: with no deadline and no budget the pipeline must reproduce the
@@ -201,17 +260,7 @@ TEST(ExecutionPipelineTest, StageStatsAreReported) {
 class ExecutionEngineTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    ImdbGenOptions opts;
-    opts.num_movies = 40;
-    opts.num_actors = 50;
-    opts.num_actresses = 25;
-    opts.num_directors = 10;
-    opts.num_producers = 6;
-    opts.num_companies = 4;
-    opts.seed = 77;
-    auto ds = BuildImdbDataset(opts);
-    ASSERT_TRUE(ds.ok());
-    dataset_ = std::make_unique<Dataset>(std::move(ds).value());
+    dataset_ = std::make_unique<Dataset>(SmallImdbDataset());
     auto engine = CiRankEngine::Builder(dataset_->graph).Build();
     ASSERT_TRUE(engine.ok());
     engine_ = std::make_unique<CiRankEngine>(std::move(engine).value());
@@ -324,6 +373,23 @@ TEST_F(ExecutionEngineTest, PoolScoringExecutorsAreNaiveWithTheirRanker) {
                   .Value(),
               6)
         << name;
+  }
+}
+
+TEST_F(ExecutionEngineTest, UnrepresentableDeadlineKeepsEveryAnswer) {
+  const SearchOverrides base = SearchOverrides().WithK(5);
+  auto unlimited = engine_->Search(query_, base);
+  SearchStats stats;
+  auto far = engine_->Search(query_, SearchOverrides(base).WithDeadlineMs(1e300),
+                             &stats);
+  ASSERT_TRUE(unlimited.ok() && far.ok());
+  ASSERT_FALSE(unlimited->empty());
+  EXPECT_FALSE(stats.truncated);
+  ASSERT_EQ(far->size(), unlimited->size());
+  for (size_t i = 0; i < far->size(); ++i) {
+    EXPECT_EQ((*far)[i].score, (*unlimited)[i].score) << "rank " << i;
+    EXPECT_EQ((*far)[i].tree.edges(), (*unlimited)[i].tree.edges())
+        << "rank " << i;
   }
 }
 
