@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "index/star_index.h"
+#include "util/json_string.h"
 #include "util/status.h"
 
 namespace cirank {
@@ -182,7 +183,8 @@ void BenchReport::AddLatencySeries(const std::string& series,
 void BenchReport::AddSearchStats(const std::string& prefix,
                                  const SearchStats& stats) {
   counters_.emplace_back(prefix + ".popped", stats.popped);
-  counters_.emplace_back(prefix + ".generated", stats.generated);
+  counters_.emplace_back(prefix + ".generated",
+                         stats.stages.candidates_generated);
   counters_.emplace_back(prefix + ".answers_found", stats.answers_found);
   counters_.emplace_back(prefix + ".truncated", stats.truncated ? 1 : 0);
   counters_.emplace_back(prefix + ".candidates_pruned",
@@ -195,24 +197,6 @@ void BenchReport::AddSearchStats(const std::string& prefix,
 }
 
 namespace {
-
-// All keys are library-chosen identifiers, but escape defensively so a
-// stray quote can never produce malformed JSON.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out.push_back(' ');
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
 
 // JSON has no NaN/Inf literals; clamp to null-adjacent 0 with a marker key
 // impossible, so just emit 0 for non-finite values.
@@ -234,26 +218,26 @@ bool BenchReport::Write(const obs::MetricsRegistry* registry) const {
     return false;
   }
   out.precision(17);
-  out << "{\n  \"bench\": \"" << JsonEscape(name_) << "\",\n"
+  out << "{\n  \"bench\": " << JsonString(name_) << ",\n"
       << "  \"scale\": " << Finite(BenchScale()) << ",\n"
       << "  \"smoke\": " << (SmokeMode() ? "true" : "false") << ",\n";
   out << "  \"metrics\": {";
   for (size_t i = 0; i < metrics_.size(); ++i) {
-    out << (i == 0 ? "\n" : ",\n") << "    \"" << JsonEscape(metrics_[i].first)
-        << "\": " << Finite(metrics_[i].second);
+    out << (i == 0 ? "\n" : ",\n") << "    " << JsonString(metrics_[i].first)
+        << ": " << Finite(metrics_[i].second);
   }
   out << (metrics_.empty() ? "},\n" : "\n  },\n");
   out << "  \"counters\": {";
   for (size_t i = 0; i < counters_.size(); ++i) {
-    out << (i == 0 ? "\n" : ",\n") << "    \""
-        << JsonEscape(counters_[i].first) << "\": " << counters_[i].second;
+    out << (i == 0 ? "\n" : ",\n") << "    " << JsonString(counters_[i].first)
+        << ": " << counters_[i].second;
   }
   out << (counters_.empty() ? "},\n" : "\n  },\n");
   out << "  \"latency_ms\": {";
   for (size_t i = 0; i < latency_.size(); ++i) {
     const Series& s = latency_[i];
-    out << (i == 0 ? "\n" : ",\n") << "    \"" << JsonEscape(s.name)
-        << "\": { \"p50\": " << Finite(s.p50_ms)
+    out << (i == 0 ? "\n" : ",\n") << "    " << JsonString(s.name)
+        << ": { \"p50\": " << Finite(s.p50_ms)
         << ", \"p95\": " << Finite(s.p95_ms)
         << ", \"mean\": " << Finite(s.mean_ms) << ", \"count\": " << s.count
         << " }";

@@ -80,7 +80,7 @@ void RunDataset(const bench::BenchSetup& setup, const char* label,
     CIRANK_IGNORE_ERROR(NaiveSearch(engine.scorer(), q, nopts, &nstats));
     naive_time.Add(t.ElapsedSeconds());
     naive_ms.push_back(t.ElapsedSeconds() * 1e3);
-    naive_generated += nstats.generated;
+    naive_generated += nstats.stages.candidates_generated;
 
     t.Reset();
     SearchOptions sopts;

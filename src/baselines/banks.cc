@@ -107,7 +107,9 @@ std::vector<RankedAnswer> AssembleAnswers(const InvertedIndex& index,
     // ShouldStop ends the assembly.
     if (ctx != nullptr) (void)ctx->ChargeCandidates();
     const double score = ranker.ScoreAnswer(*tree, query);
-    answers.Offer(std::move(tree).value(), score);
+    if (answers.Offer(std::move(tree).value(), score) && ctx != nullptr) {
+      ++ctx->stats().answers_found;
+    }
   }
   return answers.Take();
 }

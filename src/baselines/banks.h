@@ -53,7 +53,8 @@ using NextHopLabels = std::vector<std::vector<NodeId>>;
 // the root and kept when it fits `max_diameter` and covers every keyword.
 // Each kept tree is charged to a non-null `ctx`, whose stop ends the
 // assembly early, and is scored by `ranker` into a TopKAnswers of size `k`
-// (> 0), whose list is returned.
+// (> 0), whose list is returned; each distinct tree counts into the
+// context's answers_found.
 [[nodiscard]] std::vector<RankedAnswer> AssembleAnswers(
     const InvertedIndex& index, const Ranker& ranker, const Query& query,
     const NextHopLabels& next_hop, int k, uint32_t max_diameter,

@@ -32,7 +32,6 @@ class BanksFamilyExecutor final : public SearchExecutor {
   }
 
   Status Prepare(ExecutionContext& ctx) override {
-    (void)ctx;
     // Feed BANKS the same PageRank importance CI-Rank uses, so the baseline
     // differs only in how it exploits it (root+leaf averaging). Built
     // directly (not via SearchOptions::ranker): this executor *is* the
@@ -40,6 +39,7 @@ class BanksFamilyExecutor final : public SearchExecutor {
     ranker_ = MakeBanksRanker(scorer_.model().graph(),
                               scorer_.model().importance_vector(),
                               scorer_.index());
+    ctx.stats().ranker = std::string(ranker_->name());
     return Status::OK();
   }
 
@@ -60,18 +60,12 @@ class BanksFamilyExecutor final : public SearchExecutor {
       CIRANK_ASSIGN_OR_RETURN(
           answers_, BanksSearch(graph, index, *ranker_, query_, opts, &ctx));
     }
-    ctx.stages().candidates_generated = ctx.candidates_charged();
     return ctx.stopped() ? ctx.stop_status() : Status::OK();
   }
 
   Result<std::vector<RankedAnswer>> Emit(ExecutionContext& ctx) override {
     (void)ctx;
     return std::move(answers_);
-  }
-
-  void FillStats(SearchStats* stats) const override {
-    stats->ranker = std::string(ranker_->name());
-    stats->answers_found = static_cast<int64_t>(answers_.size());
   }
 
  private:

@@ -50,6 +50,7 @@ class BnbExecutor final : public SearchExecutor {
         ranker_, RankerRegistry::Global().Create(
                      options_.ranker,
                      RankerEnv{&scorer_, &query_, options_, &*nodes_}));
+    ctx.stats().ranker = std::string(ranker_->name());
 
     // Seed with single-node candidates for every non-free node (line 3-6),
     // in ascending node id.
@@ -67,6 +68,7 @@ class BnbExecutor final : public SearchExecutor {
 
   Status Expand(ExecutionContext& ctx) override {
     const Graph& graph = scorer_.model().graph();
+    SearchStats& st = ctx.stats();
     std::vector<NodeId> neighbors;
     while (!queue_.empty()) {
       if (ctx.ShouldStop()) return ctx.stop_status();
@@ -86,16 +88,15 @@ class BnbExecutor final : public SearchExecutor {
       const bool local_stop = answers_.Full() && ub < answers_.MinScore();
       if (local_stop ||
           (shard_ != nullptr && ub < shard_->GlobalThreshold())) {
-        max_pruned_bound_ = std::max(max_pruned_bound_, ub);
-        ctx.stages().candidates_pruned +=
-            static_cast<int64_t>(queue_.size()) + 1;
-        proven_optimal_ = true;
-        if (!local_stop) shard_early_stopped_ = true;
+        st.max_pruned_bound = std::max(st.max_pruned_bound, ub);
+        st.stages.candidates_pruned += static_cast<int64_t>(queue_.size()) + 1;
+        st.proven_optimal = true;
+        if (!local_stop) st.shard_early_stopped = true;
         break;
       }
-      ++popped_;
-      if (options_.max_expansions > 0 && popped_ > options_.max_expansions) {
-        budget_exhausted_ = true;
+      ++st.popped;
+      if (options_.max_expansions > 0 && st.popped > options_.max_expansions) {
+        st.budget_exhausted = true;
         break;
       }
 
@@ -121,25 +122,14 @@ class BnbExecutor final : public SearchExecutor {
     }
 
     if (queue_.empty() && !ctx.stopped()) {
-      proven_optimal_ = !budget_exhausted_;
+      st.proven_optimal = !st.budget_exhausted;
     }
     return ctx.stopped() ? ctx.stop_status() : Status::OK();
   }
 
   Result<std::vector<RankedAnswer>> Emit(ExecutionContext& ctx) override {
-    ctx.stages().bound_calls = ranker_->bound_calls();
+    ctx.stats().stages.bound_calls = ranker_->bound_calls();
     return answers_.Take();
-  }
-
-  void FillStats(SearchStats* stats) const override {
-    stats->ranker = std::string(ranker_->name());
-    stats->popped = popped_;
-    stats->generated = generated_;
-    stats->answers_found = answers_found_;
-    stats->budget_exhausted = budget_exhausted_;
-    stats->proven_optimal = proven_optimal_;
-    stats->max_pruned_bound = max_pruned_bound_;
-    stats->shard_early_stopped = shard_early_stopped_;
   }
 
  private:
@@ -153,15 +143,14 @@ class BnbExecutor final : public SearchExecutor {
   const AdmittedCandidate* Admit(ExecutionContext& ctx, const Candidate& c,
                                  double ancestor_bound, bool from_merge) {
     if (c.diameter > options_.max_diameter || !builder_->viable()) {
-      ++ctx.stages().candidates_pruned;
+      ++ctx.stats().stages.candidates_pruned;
       return nullptr;
     }
     if (seen_.Find(c) != nullptr) return nullptr;
-    ++generated_;
-    ++ctx.stages().candidates_generated;
-    if (from_merge) ++ctx.stages().candidates_merged;
-    // Budget accounting: exhaustion latches the stop flag; the candidate
-    // just admitted still completes so the partial state stays consistent.
+    if (from_merge) ++ctx.stats().stages.candidates_merged;
+    // Counts the candidate as generated. Exhausting the budget latches the
+    // stop flag; the candidate just admitted still completes so the partial
+    // state stays consistent.
     (void)ctx.ChargeCandidates(1);
     CIRANK_DCHECK(ValidateCandidate(c, *nodes_).ok())
         << ValidateCandidate(c, *nodes_).ToString();
@@ -190,7 +179,7 @@ class BnbExecutor final : public SearchExecutor {
       std::string publish_key;
       if (shard_ != nullptr) publish_key = canon.CanonicalKey();
       if (answers_.Offer(std::move(canon), score)) {
-        ++answers_found_;
+        ++ctx.stats().answers_found;
         if (shard_ != nullptr) shard_->PublishAnswer(publish_key, score);
       }
     }
@@ -254,14 +243,6 @@ class BnbExecutor final : public SearchExecutor {
   RootRegistry by_root_;
   CandidateSet seen_;
   TopKAnswers answers_;
-
-  int64_t popped_ = 0;
-  int64_t generated_ = 0;
-  int64_t answers_found_ = 0;
-  bool budget_exhausted_ = false;
-  bool proven_optimal_ = false;
-  bool shard_early_stopped_ = false;
-  double max_pruned_bound_ = 0.0;
 };
 
 }  // namespace

@@ -5,9 +5,9 @@
 //
 // The implementation is the "bnb" SearchExecutor of the unified execution
 // pipeline (core/execution.h): candidates live in the per-query arena, the
-// deadline/candidate-budget guard can truncate the search, and per-stage
-// counters land in StageStats. BranchAndBoundSearch below is the classic
-// one-call entry point, now a thin wrapper over that executor.
+// deadline/candidate-budget guard can truncate the search, and every
+// counter lands in the context's SearchStats. BranchAndBoundSearch below is
+// the classic one-call entry point, now a thin wrapper over that executor.
 #ifndef CIRANK_CORE_BNB_SEARCH_H_
 #define CIRANK_CORE_BNB_SEARCH_H_
 

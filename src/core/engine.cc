@@ -17,8 +17,7 @@ constexpr ResultCache::MetricNames kQueryCacheMetrics = {
     "cirank_engine_cache_hits_total",
     "cirank_engine_cache_misses_total",
     "cirank_engine_feedback_invalidations_total",
-    "cirank_cache_entries",
-    /*lru_shards=*/"cirank_cache_shard"};
+    "cirank_cache_entries"};
 
 }  // namespace
 
@@ -40,7 +39,6 @@ struct CiRankEngine::Serving {
   struct Obs {
     obs::Counter* queries = nullptr;
     obs::Counter* errors = nullptr;
-    obs::Counter* truncated = nullptr;
     obs::Histogram* query_seconds = nullptr;
     obs::Gauge* queue_depth = nullptr;
     obs::Histogram* task_wait = nullptr;
@@ -51,9 +49,6 @@ struct CiRankEngine::Serving {
                                "Top-level queries served (cache hits + fresh)");
       errors = &m->GetCounter("cirank_engine_query_errors_total",
                               "Queries that returned a non-OK status");
-      truncated = &m->GetCounter(
-          "cirank_engine_truncated_total",
-          "Queries whose result was cut short by a deadline/budget guard");
       query_seconds = &m->GetHistogram(
           "cirank_engine_query_seconds",
           "End-to-end latency of fresh (uncached) queries, seconds");
@@ -178,21 +173,13 @@ Result<std::vector<RankedAnswer>> CiRankEngine::ExecuteUncached(
   // the deadline/budget guard and stage accounting uniformly.
   ExecutorEnv env{&pinned.snapshot_->scorer, &query, options, metrics_,
                   options_.trace, trace_id};
-  // A local stats block keeps the truncation counter honest even when the
-  // caller passed nullptr.
-  SearchStats local;
-  SearchStats* st = stats != nullptr ? stats : &local;
   Timer timer;
-  auto result = ExecuteSearch(env, st);
+  auto result = ExecuteSearch(env, stats);
   const double elapsed = timer.ElapsedSeconds();
 
   const Serving::Obs& obs = serving_->obs;
   if (obs.query_seconds != nullptr) obs.query_seconds->Observe(elapsed);
-  if (!result.ok()) {
-    if (obs.errors != nullptr) obs.errors->Increment();
-  } else if (st->truncated && obs.truncated != nullptr) {
-    obs.truncated->Increment();
-  }
+  if (!result.ok() && obs.errors != nullptr) obs.errors->Increment();
   return result;
 }
 

@@ -200,9 +200,10 @@ class CiRankEngine {
                                                  SearchStats* stats) const;
 
   // The single fresh-execution path: dispatches through the executor
-  // registry, wires the engine's metrics/trace sinks into the pipeline, and
-  // folds latency/error/truncation counters. Does NOT count
-  // cirank_engine_queries_total — the public entry points own that.
+  // registry, wires the engine's metrics/trace sinks into the pipeline
+  // (which counts truncations), and folds the latency and error counters.
+  // Does NOT count cirank_engine_queries_total — the public entry points
+  // own that.
   Result<std::vector<RankedAnswer>> ExecuteUncached(
       const PinnedModel& pinned, const Query& query,
       const SearchOptions& options, SearchStats* stats,
@@ -235,14 +236,6 @@ class CiRankEngine::Builder {
   // CiRankOptions); the field setters below refine it.
   Builder& WithOptions(const CiRankOptions& options) {
     options_ = options;
-    return *this;
-  }
-  Builder& WithRwmp(const RwmpParams& rwmp) {
-    options_.rwmp = rwmp;
-    return *this;
-  }
-  Builder& WithPageRank(const PageRankOptions& pagerank) {
-    options_.pagerank = pagerank;
     return *this;
   }
   // Default SearchOptions for every Search() call on the built engine.

@@ -31,8 +31,9 @@ ExecutionContext::ExecutionContext(const ExecutionLimits& limits)
 }
 
 bool ExecutionContext::ChargeCandidates(int64_t n) {
-  charged_ += n;
-  if (limits_.candidate_budget > 0 && charged_ > limits_.candidate_budget) {
+  int64_t& generated = stats_.stages.candidates_generated;
+  generated += n;
+  if (limits_.candidate_budget > 0 && generated > limits_.candidate_budget) {
     if (!stopped()) stop_reason_ = StopReason::kCandidateBudget;
     return false;
   }
@@ -109,9 +110,9 @@ namespace {
 // Folds one finished pipeline run into the bound registry. Instrument
 // lookup is by name (a short mutex-protected map probe, once per query);
 // the increments themselves are relaxed atomics.
-void RecordPipelineMetrics(obs::MetricsRegistry* m, const SearchStats& st,
-                           const StageStats& sg) {
+void RecordPipelineMetrics(obs::MetricsRegistry* m, const SearchStats& st) {
   if (m == nullptr) return;
+  const StageStats& sg = st.stages;
   static constexpr char kStageHelp[] =
       "Wall time per execution-pipeline stage, seconds";
   m->GetHistogram("cirank_stage_seconds{stage=\"prepare\"}", kStageHelp)
@@ -145,9 +146,7 @@ void RecordPipelineMetrics(obs::MetricsRegistry* m, const SearchStats& st,
 Result<std::vector<RankedAnswer>> RunSearchPipeline(SearchExecutor& executor,
                                                     ExecutionContext& ctx,
                                                     SearchStats* stats) {
-  SearchStats local;
-  SearchStats& st = stats != nullptr ? *stats : local;
-  st = SearchStats{};
+  SearchStats& st = ctx.stats();
   st.executor = std::string(executor.name());
 
   obs::TraceSpan query_span;
@@ -167,7 +166,7 @@ Result<std::vector<RankedAnswer>> RunSearchPipeline(SearchExecutor& executor,
     obs::TraceSpan span = stage_span("prepare");
     CIRANK_RETURN_IF_ERROR(executor.Prepare(ctx));
   }
-  ctx.stages().prepare_seconds = timer.ElapsedSeconds();
+  st.stages.prepare_seconds = timer.ElapsedSeconds();
 
   timer.Reset();
   Status expand_status;
@@ -175,7 +174,7 @@ Result<std::vector<RankedAnswer>> RunSearchPipeline(SearchExecutor& executor,
     obs::TraceSpan span = stage_span("expand");
     expand_status = executor.Expand(ctx);
   }
-  ctx.stages().expand_seconds = timer.ElapsedSeconds();
+  st.stages.expand_seconds = timer.ElapsedSeconds();
   // A deadline/budget stop is a truncation, not a failure: Emit still runs
   // and the partial top-k is returned. Any other error is fatal.
   if (!expand_status.ok() && !expand_status.IsDeadlineExceeded()) {
@@ -189,15 +188,13 @@ Result<std::vector<RankedAnswer>> RunSearchPipeline(SearchExecutor& executor,
   }();
   CIRANK_ASSIGN_OR_RETURN(std::vector<RankedAnswer> answers,
                           std::move(emitted));
-  ctx.stages().emit_seconds = timer.ElapsedSeconds();
+  st.stages.emit_seconds = timer.ElapsedSeconds();
 
-  executor.FillStats(&st);
-  ctx.stages().arena_bytes = ctx.arena().bytes_used();
-  st.executor = std::string(executor.name());
+  st.stages.arena_bytes = ctx.arena().bytes_used();
   st.truncated = ctx.stopped();
   if (st.truncated) st.proven_optimal = false;
-  st.stages = ctx.stages();
-  RecordPipelineMetrics(ctx.metrics(), st, ctx.stages());
+  RecordPipelineMetrics(ctx.metrics(), st);
+  if (stats != nullptr) *stats = st;
   return answers;
 }
 
@@ -214,9 +211,6 @@ Result<std::vector<RankedAnswer>> ExecuteSearch(const ExecutorEnv& env,
   ctx.BindObservability(env.metrics, env.trace, env.trace_id);
   CIRANK_ASSIGN_OR_RETURN(std::vector<RankedAnswer> answers,
                           RunSearchPipeline(*executor, ctx, stats));
-  if (stats != nullptr && stats->ranker.empty()) {
-    stats->ranker = env.options.ranker;
-  }
   // Presentation pass: selection already happened under the ranker's score;
   // order_by only rearranges the k selected answers. Empty spec = answers
   // pass through byte-identical.

@@ -7,9 +7,12 @@
 //   (b) a deadline + candidate-budget guard, so every executor returns its
 //       best-so-far partial top-k (flagged `truncated` with a
 //       DeadlineExceeded stop status) instead of running unbounded; and
-//   (c) a StageStats block (candidates generated/pruned/merged, arena
-//       bytes, bound-calculator calls, wall time per stage) surfaced
-//       through SearchStats, the CLI, and the bench JSON.
+//   (c) the query's SearchStats, its one account: executors count into
+//       it while they run (popped, answers, the StageStats block of
+//       candidates generated/pruned/merged and bound-calculator calls), the
+//       budget reads its candidates_generated, and RunSearchPipeline
+//       adds the executor name, truncation, stage wall times and arena
+//       bytes before copying it out to the caller.
 // CiRankEngine selects executors by name through ExecutorRegistry
 // (SearchOverrides.executor), so one code path serves every algorithm.
 // Executors only *enumerate*: answer scoring is delegated to the Ranker
@@ -52,7 +55,9 @@ struct RankedAnswer {
 // Per-stage observability block. Counters are exact totals; wall times are
 // measured by the pipeline driver around each stage.
 struct StageStats {
-  int64_t candidates_generated = 0;  // admitted by grow/merge/seed
+  // Admitted candidates, counted only by ExecutionContext::ChargeCandidates;
+  // the candidate budget reads this count.
+  int64_t candidates_generated = 0;
   int64_t candidates_pruned = 0;     // rejected: viability/diameter/bound
   int64_t candidates_merged = 0;     // admitted specifically via merge
   int64_t bound_calls = 0;           // Ranker::UpperBound calls
@@ -64,7 +69,6 @@ struct StageStats {
 
 struct SearchStats {
   int64_t popped = 0;          // candidates dequeued and expanded
-  int64_t generated = 0;       // candidates created by grow/merge
   int64_t answers_found = 0;   // distinct complete answers scored
   bool budget_exhausted = false;
   bool proven_optimal = false;
@@ -85,7 +89,7 @@ struct SearchStats {
   // Name of the executor that served the query ("bnb", "naive", ...).
   std::string executor;
   // Name of the ranker that scored the answers ("rwmp", "rwmp_x_text", ...)
-  // as reported by the executor; empty for legacy direct entry points.
+  // as reported by the executor.
   std::string ranker;
   // Sharded sub-searches only (DESIGN.md §16): the stopping rule fired
   // because of the *global* cross-shard threshold while the shard's own
@@ -110,7 +114,7 @@ struct ExecutionLimits {
   }
 };
 
-// Owns the arena, the deadline/budget guard, and the stage counters for one
+// Owns the arena, the deadline/budget guard, and the SearchStats for one
 // query. Not thread-safe: a context is created, used and destroyed on the
 // thread that runs the query (each shard sub-search builds its own).
 class ExecutionContext {
@@ -121,8 +125,10 @@ class ExecutionContext {
 
   Arena& arena() { return arena_; }
 
-  // Records `n` admitted candidates against the budget. Returns false — and
-  // latches the stop flag — once the budget is exhausted.
+  // The one count of admitted candidates: adds `n` to
+  // stats().stages.candidates_generated and checks the budget against it.
+  // Returns false — and latches the stop flag — once the budget is
+  // exhausted.
   bool ChargeCandidates(int64_t n = 1);
 
   // True when the executor must stop expanding and emit what it has. The
@@ -137,12 +143,12 @@ class ExecutionContext {
   // style status describing why the result is partial otherwise.
   Status stop_status() const;
 
-  int64_t candidates_charged() const { return charged_; }
   const ExecutionLimits& limits() const { return limits_; }
 
-  // Stage counters, written by the executor and by RunSearchPipeline.
-  StageStats& stages() { return stages_; }
-  const StageStats& stages() const { return stages_; }
+  // The query's counters: the executor writes them while it runs, and
+  // RunSearchPipeline stamps the pipeline fields and copies them out.
+  SearchStats& stats() { return stats_; }
+  const SearchStats& stats() const { return stats_; }
 
   // Binds the observability sinks the pipeline driver records into; either
   // may be null (no recording — the default). Binding a trace collector
@@ -168,10 +174,9 @@ class ExecutionContext {
   Arena arena_;
   std::chrono::steady_clock::time_point deadline_{};  // valid iff has_deadline_
   bool has_deadline_ = false;
-  int64_t charged_ = 0;
   int64_t stop_probe_ = 0;
   StopReason stop_reason_ = StopReason::kNone;
-  StageStats stages_;
+  SearchStats stats_;
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::TraceCollector* trace_ = nullptr;
   int64_t trace_track_ = 0;
@@ -205,12 +210,6 @@ class SearchExecutor {
   // Collects the (possibly partial) top-k. Must succeed even when Expand
   // was truncated.
   virtual Result<std::vector<RankedAnswer>> Emit(ExecutionContext& ctx) = 0;
-
-  // Writes the algorithm-level counters (popped/generated/answers_found,
-  // budget/optimality flags, max_pruned_bound) into `stats`. Called by the
-  // pipeline driver after Emit; the driver itself owns the pipeline-level
-  // fields (executor, truncated, stages).
-  virtual void FillStats(SearchStats* stats) const { (void)stats; }
 };
 
 // Everything a factory needs to build an executor for one query. The
@@ -244,11 +243,12 @@ template <>
 ExecutorRegistry& ExecutorRegistry::Global();
 using ExecutorFactory = ExecutorRegistry::Factory;
 
-// Drives one executor through Prepare → Expand → Emit, timing each stage
-// into ctx.stages() and folding the context's counters into `stats` (when
-// non-null). A deadline/budget stop is surfaced as a *successful* result
-// with stats->truncated set — callers needing the distinction inspect
-// stats; the stop reason itself is ctx.stop_status().
+// Drives one executor through Prepare → Expand → Emit, stamping the
+// executor name, stage wall times, arena bytes and truncation into
+// ctx.stats() and copying it to `stats` (when non-null) on success. A
+// deadline/budget stop is surfaced as a *successful* result with
+// stats->truncated set — callers needing the distinction inspect stats;
+// the stop reason itself is ctx.stop_status().
 [[nodiscard]] Result<std::vector<RankedAnswer>> RunSearchPipeline(
     SearchExecutor& executor, ExecutionContext& ctx, SearchStats* stats);
 

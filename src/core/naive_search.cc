@@ -60,7 +60,8 @@ void EnumeratePaths(const std::map<NodeId, Reach>& reach, NodeId source,
 Result<std::vector<Jtt>> EnumerateAnswers(const Graph& graph,
                                           const InvertedIndex& index,
                                           const Query& query,
-                                          const EnumerateOptions& options) {
+                                          const EnumerateOptions& options,
+                                          ExecutionContext* ctx) {
   if (query.empty()) return Status::InvalidArgument("empty query");
   if (query.size() > Query::kMaxKeywords) {
     return Status::InvalidArgument("at most 31 keywords are supported");
@@ -116,8 +117,9 @@ Result<std::vector<Jtt>> EnumerateAnswers(const Graph& graph,
   std::set<std::string> seen;
   std::vector<Jtt> answers;
   auto budget_left = [&] {
-    return options.max_answers == 0 ||
-           static_cast<int64_t>(answers.size()) < options.max_answers;
+    return (options.max_answers == 0 ||
+            static_cast<int64_t>(answers.size()) < options.max_answers) &&
+           (ctx == nullptr || !ctx->ShouldStop());
   };
 
   for (const auto& [root, srcs] : sources_at_root) {
@@ -190,6 +192,9 @@ Result<std::vector<Jtt>> EnumerateAnswers(const Graph& graph,
               tree->CoversAllKeywords(query, index) &&
               seen.insert(tree->CanonicalKey()).second) {
             answers.push_back(std::move(tree).value());
+            // A tree that exhausts the budget is still kept; the next
+            // budget_left() check ends the enumeration.
+            if (ctx != nullptr) (void)ctx->ChargeCandidates();
           }
         }
         // Advance the path odometer.
@@ -219,11 +224,12 @@ Result<std::vector<Jtt>> EnumerateAnswers(const Graph& graph,
 namespace {
 
 // The "naive" executor: the paper's Sec. IV-A algorithm decomposed into the
-// pipeline stages. Prepare enumerates the full answer pool (BFS + path
-// combination) and builds the ranker; Expand scores the pool under the
-// selected ranker, checking the deadline/budget guard between trees; Emit
-// ranks the collected answers. Registered under other names, it is also
-// the pool-scoring baseline executors (MakePinnedRankerExecutor).
+// pipeline stages. Prepare builds the ranker and enumerates the answer pool
+// (BFS + path combination), charging each tree to the budget as it is
+// found; Expand scores the pool under the selected ranker, checking the
+// deadline between trees; Emit ranks the collected answers. Registered
+// under other names, it is also the pool-scoring baseline executors
+// (MakePinnedRankerExecutor).
 class NaiveExecutor final : public SearchExecutor {
  public:
   NaiveExecutor(std::string name, const TreeScorer& scorer, const Query& query,
@@ -246,24 +252,27 @@ class NaiveExecutor final : public SearchExecutor {
         RankerRegistry::Global().Create(
             search_options_.ranker, RankerEnv{&scorer_, nullptr,
                                               search_options_}));
+    ctx.stats().ranker = std::string(ranker_->name());
     EnumerateOptions enum_options;
     enum_options.max_diameter = options_.max_diameter;
     enum_options.max_combinations_per_root = options_.max_combinations_per_root;
     enum_options.max_paths_per_source = options_.max_paths_per_source;
     CIRANK_ASSIGN_OR_RETURN(
         pool_, EnumerateAnswers(scorer_.model().graph(), scorer_.index(),
-                                query_, enum_options));
-    ctx.stages().candidates_generated = static_cast<int64_t>(pool_.size());
-    (void)ctx.ChargeCandidates(static_cast<int64_t>(pool_.size()));
+                                query_, enum_options, &ctx));
     return Status::OK();
   }
 
   Status Expand(ExecutionContext& ctx) override {
     for (Jtt& tree : pool_) {
-      if (ctx.ShouldStop()) return ctx.stop_status();
+      // The pool holds only trees already charged, so a budget stop still
+      // scores all of them; a deadline cuts the scoring short.
+      if (ctx.stop_reason() != ExecutionContext::StopReason::kCandidateBudget &&
+          ctx.ShouldStop()) {
+        return ctx.stop_status();
+      }
       const double score = ranker_->ScoreAnswer(tree, query_);
-      if (answers_.Offer(std::move(tree), score)) ++answers_found_;
-      ++scored_;
+      if (answers_.Offer(std::move(tree), score)) ++ctx.stats().answers_found;
     }
     return Status::OK();
   }
@@ -271,12 +280,6 @@ class NaiveExecutor final : public SearchExecutor {
   Result<std::vector<RankedAnswer>> Emit(ExecutionContext& ctx) override {
     (void)ctx;
     return answers_.Take();
-  }
-
-  void FillStats(SearchStats* stats) const override {
-    stats->ranker = std::string(ranker_->name());
-    stats->generated = scored_;
-    stats->answers_found = answers_found_;
   }
 
  private:
@@ -288,8 +291,6 @@ class NaiveExecutor final : public SearchExecutor {
   std::unique_ptr<Ranker> ranker_;
   std::vector<Jtt> pool_;
   TopKAnswers answers_;
-  int64_t scored_ = 0;
-  int64_t answers_found_ = 0;
 };
 
 Result<std::unique_ptr<SearchExecutor>> MakeNamedNaiveExecutor(

@@ -30,11 +30,12 @@ struct EnumerateOptions {
 // Scoring-free answer enumeration via the naive algorithm's BFS + path
 // combination. Used both by NaiveSearch and as the *neutral* candidate pool
 // generator for the effectiveness experiments (every ranking system scores
-// the same pool, so no system's own search biases the comparison).
-[[nodiscard]] Result<std::vector<Jtt>> EnumerateAnswers(const Graph& graph,
-                                          const InvertedIndex& index,
-                                          const Query& query,
-                                          const EnumerateOptions& options);
+// the same pool, so no system's own search biases the comparison). Each
+// kept tree is charged to a non-null `ctx` as it is found, and the
+// enumeration stops once the context's deadline/budget guard fires.
+[[nodiscard]] Result<std::vector<Jtt>> EnumerateAnswers(
+    const Graph& graph, const InvertedIndex& index, const Query& query,
+    const EnumerateOptions& options, ExecutionContext* ctx = nullptr);
 
 struct NaiveSearchOptions {
   int k = 10;
@@ -44,8 +45,8 @@ struct NaiveSearchOptions {
 };
 
 // Factory for the "naive" executor (registered in ExecutorRegistry::Global):
-// Prepare enumerates the answer pool, Expand scores it under the
-// deadline/budget guard, Emit ranks. Enumeration caps take their defaults
+// Prepare enumerates the answer pool under the deadline/budget guard,
+// Expand scores it, Emit ranks. Enumeration caps take their defaults
 // from NaiveSearchOptions; k and max_diameter come from
 // ExecutorEnv::options. Fails on empty queries, queries with more than
 // Query::kMaxKeywords keywords, or non-positive k.

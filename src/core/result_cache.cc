@@ -33,15 +33,15 @@ std::string CacheKey(const Query& query, const SearchOptions& options,
 ResultCache::ResultCache(const QueryCacheOptions& options,
                          obs::MetricsRegistry* metrics,
                          const MetricNames& names)
-    : lru_(options.capacity, kLruShards), metrics_(metrics), names_(names) {
-  if (metrics_ == nullptr) return;
-  hits_ = &metrics_->GetCounter(names_.hits, "Result-cache hits");
-  misses_ = &metrics_->GetCounter(names_.misses, "Result-cache misses");
-  invalidations_ = &metrics_->GetCounter(
-      names_.invalidations,
+    : lru_(options.capacity, kLruShards) {
+  if (metrics == nullptr) return;
+  hits_.metric = &metrics->GetCounter(names.hits, "Result-cache hits");
+  misses_.metric = &metrics->GetCounter(names.misses, "Result-cache misses");
+  invalidations_.metric = &metrics->GetCounter(
+      names.invalidations,
       "Result-cache invalidations triggered by feedback/rebuild");
-  entries_ = &metrics_->GetGauge(names_.entries,
-                                 "Entries currently resident in the cache");
+  entries_ = &metrics->GetGauge(names.entries,
+                                "Entries currently resident in the cache");
 }
 
 ResultCache::Probe ResultCache::Lookup(const Query& query,
@@ -59,7 +59,7 @@ ResultCache::Probe ResultCache::Lookup(const Query& query,
   probe.key = CacheKey(query, options, epoch);
   if (stats != nullptr && path == Path::kDirect) return probe;
   if (auto hit = lru_.Get(*probe.key); hit.has_value()) {
-    if (hits_ != nullptr) hits_->Increment();
+    hits_.Add();
     if (stats != nullptr) {
       *stats = SearchStats{};
       stats->from_cache = true;
@@ -69,7 +69,7 @@ ResultCache::Probe ResultCache::Lookup(const Query& query,
     probe.hit = *std::move(hit);
     return probe;
   }
-  if (misses_ != nullptr) misses_->Increment();
+  misses_.Add();
   return probe;
 }
 
@@ -82,33 +82,17 @@ void ResultCache::Store(Probe probe, const std::vector<RankedAnswer>& answers) {
 
 void ResultCache::Invalidate() {
   lru_.Clear();
-  if (invalidations_ != nullptr) invalidations_->Increment();
+  invalidations_.Add();
   RefreshEntriesGauge();
 }
 
 QueryCacheStats ResultCache::Stats() const {
   QueryCacheStats stats;
-  stats.hits = lru_.hits();
-  stats.misses = lru_.misses();
-  stats.invalidations = lru_.invalidations();
+  stats.hits = hits_.count.load(std::memory_order_relaxed);
+  stats.misses = misses_.count.load(std::memory_order_relaxed);
+  stats.invalidations = invalidations_.count.load(std::memory_order_relaxed);
   stats.entries = lru_.size();
   if (entries_ != nullptr) entries_->Set(static_cast<double>(stats.entries));
-  if (metrics_ == nullptr || names_.lru_shards == nullptr) return stats;
-  // Per-shard values are point-in-time exports of the LRU's own atomics, so
-  // a gauge (Set) is the right instrument even for the monotonic ones.
-  const std::string prefix = names_.lru_shards;
-  const auto shards = lru_.PerShardStats();
-  for (size_t i = 0; i < shards.size(); ++i) {
-    const std::string label = "{shard=\"" + std::to_string(i) + "\"}";
-    metrics_
-        ->GetGauge(prefix + "_hits" + label,
-                   "Cache hits, by shard (cumulative, exported as a gauge)")
-        .Set(static_cast<double>(shards[i].hits));
-    metrics_
-        ->GetGauge(prefix + "_evictions" + label,
-                   "Cache evictions, by shard (cumulative, exported as a gauge)")
-        .Set(static_cast<double>(shards[i].evictions));
-  }
   return stats;
 }
 

@@ -8,7 +8,10 @@
 //   * cacheability: deadline- or budget-limited queries are never cached (a
 //     truncated result is time-dependent), and a caller may force a bypass;
 //   * the hit contract (see Path);
-//   * invalidation, the hit/miss/invalidation counters and entry gauges.
+//   * invalidation, the hit/miss/invalidation counters and entry gauge.
+//     Each lookup is counted once, by this instance, which keeps its own
+//     count beside the registry counter: several caches may record into
+//     one registry, so the registry cannot give one cache's counts back.
 // Callers follow lookup → compute → store:
 //
 //   ResultCache::Probe probe =
@@ -23,6 +26,7 @@
 #ifndef CIRANK_CORE_RESULT_CACHE_H_
 #define CIRANK_CORE_RESULT_CACHE_H_
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -38,7 +42,7 @@
 
 namespace cirank {
 
-// Snapshot of one result cache's counters.
+// Snapshot of one result cache's counters (this instance's lookups only).
 struct QueryCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
@@ -72,9 +76,6 @@ class ResultCache {
     const char* misses;         // counter
     const char* invalidations;  // counter
     const char* entries;        // gauge, refreshed by Store/Invalidate/Stats
-    // Prefix of the `<prefix>_hits{shard="i"}` / `<prefix>_evictions{...}`
-    // per-LRU-shard gauges that Stats() refreshes; null exports none.
-    const char* lru_shards;
   };
 
   // `metrics` may be null (no recording).
@@ -90,8 +91,7 @@ class ResultCache {
 
   // The lookup half, for a search pinned to the snapshot of `epoch`. On a
   // hit, a non-null `stats` is filled per the hit contract. A hit or miss is
-  // counted only when a lookup actually happened, so the registry counters
-  // track the LRU's own exactly.
+  // counted only when a lookup actually happened.
   Probe Lookup(const Query& query, const SearchOptions& options,
                uint64_t epoch, Path path, SearchStats* stats);
 
@@ -103,21 +103,28 @@ class ResultCache {
   // so a hit handed out concurrently stays valid.
   void Invalidate();
 
-  // Counter snapshot; also refreshes the entry and per-LRU-shard gauges.
+  // Counter snapshot; also refreshes the entry gauge.
   QueryCacheStats Stats() const;
 
  private:
+  // One event: this instance's count and, when bound, the registry's.
+  struct Tally {
+    std::atomic<uint64_t> count{0};
+    obs::Counter* metric = nullptr;
+    void Add() {
+      count.fetch_add(1, std::memory_order_relaxed);
+      if (metric != nullptr) metric->Increment();
+    }
+  };
+
   void RefreshEntriesGauge() const;
 
   ShardedLruCache<std::string, std::shared_ptr<const std::vector<RankedAnswer>>>
       lru_;
-  obs::MetricsRegistry* metrics_;
-  MetricNames names_;
-  // Pre-resolved instruments; all null when `metrics_` is.
-  obs::Counter* hits_ = nullptr;
-  obs::Counter* misses_ = nullptr;
-  obs::Counter* invalidations_ = nullptr;
-  obs::Gauge* entries_ = nullptr;
+  Tally hits_;
+  Tally misses_;
+  Tally invalidations_;
+  obs::Gauge* entries_ = nullptr;  // null when recording is off
 };
 
 }  // namespace cirank

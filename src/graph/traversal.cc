@@ -26,28 +26,6 @@ void BfsDistances(const Graph& graph, NodeId source, uint32_t max_dist,
   }
 }
 
-uint32_t HopDistance(const Graph& graph, NodeId from, NodeId to,
-                     uint32_t max_dist) {
-  if (from == to) return 0;
-  std::vector<uint32_t> dist(graph.num_nodes(), kUnreachable);
-  dist[from] = 0;
-  std::queue<NodeId> frontier;
-  frontier.push(from);
-  while (!frontier.empty()) {
-    NodeId u = frontier.front();
-    frontier.pop();
-    uint32_t du = dist[u];
-    if (du >= max_dist) continue;
-    for (const Edge& e : graph.out_edges(u)) {
-      if (dist[e.to] != kUnreachable) continue;
-      if (e.to == to) return du + 1;
-      dist[e.to] = du + 1;
-      frontier.push(e.to);
-    }
-  }
-  return kUnreachable;
-}
-
 void MaxProductReachability(const Graph& graph, NodeId source,
                             const std::vector<double>& node_factor,
                             uint32_t max_hops, std::vector<double>* best) {

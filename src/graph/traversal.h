@@ -22,12 +22,6 @@ inline constexpr uint32_t kUnreachable =
 void BfsDistances(const Graph& graph, NodeId source, uint32_t max_dist,
                   std::vector<uint32_t>* dist);
 
-// Hop distance between two nodes with a cutoff; returns kUnreachable when
-// farther than `max_dist`. Bidirectional BFS would be faster but plain BFS
-// keeps the cutoff semantics simple.
-uint32_t HopDistance(const Graph& graph, NodeId from, NodeId to,
-                     uint32_t max_dist);
-
 // Max-product Dijkstra: best[v] = max over directed paths source -> v of the
 // product of `node_factor[u]` over *interior* nodes u of the path (source and
 // v excluded). `node_factor` values must lie in (0, 1]. best[source] = 1.

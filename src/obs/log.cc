@@ -6,6 +6,9 @@
 #include <cstring>
 #include <utility>
 
+#include "obs/request_context.h"
+#include "util/json_string.h"
+
 namespace cirank {
 namespace obs {
 namespace {
@@ -29,52 +32,6 @@ char LevelTag(LogLevel level) {
       break;
   }
   return '?';
-}
-
-void AppendHex16(std::string* out, uint64_t value) {
-  static const char kHex[] = "0123456789abcdef";
-  char buffer[16];
-  for (int i = 15; i >= 0; --i) {
-    buffer[i] = kHex[value & 0xf];
-    value >>= 4;
-  }
-  out->append(buffer, sizeof(buffer));
-}
-
-// Minimal JSON string escaping. obs/ sits below serve/ in the dependency
-// graph, so it cannot reuse serve::AppendJsonString; the escape set matches
-// it (quotes, backslash, control characters as \u00XX).
-void AppendEscaped(std::string* out, std::string_view text) {
-  out->push_back('"');
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\r':
-        out->append("\\r");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char kHex[] = "0123456789abcdef";
-          out->append("\\u00");
-          out->push_back(kHex[(c >> 4) & 0xf]);
-          out->push_back(kHex[c & 0xf]);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
 }
 
 int64_t WallClockMicros() {
@@ -143,7 +100,7 @@ std::string RenderLogText(const LogEntry& entry) {
   }
   if (entry.trace_id != 0) {
     out.append(" trace=");
-    AppendHex16(&out, entry.trace_id);
+    out.append(FormatTraceId(entry.trace_id));
   }
   out.append("] ");
   out.append(entry.message);
@@ -156,18 +113,18 @@ std::string RenderLogJson(const LogEntry& entry) {
   out.append("{\"level\":\"");
   out.append(LogLevelName(entry.level));
   out.append("\",\"file\":");
-  AppendEscaped(&out, Basename(entry.file));
+  AppendJsonString(&out, Basename(entry.file));
   out.append(",\"line\":");
   out.append(std::to_string(entry.line));
   out.append(",\"ts_us\":");
   out.append(std::to_string(entry.timestamp_us));
   if (entry.trace_id != 0) {
     out.append(",\"trace_id\":\"");
-    AppendHex16(&out, entry.trace_id);
+    out.append(FormatTraceId(entry.trace_id));
     out.push_back('"');
   }
   out.append(",\"msg\":");
-  AppendEscaped(&out, entry.message);
+  AppendJsonString(&out, entry.message);
   out.push_back('}');
   return out;
 }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "util/json_string.h"
 #include "util/mutex.h"
 
 namespace cirank {
@@ -27,22 +28,6 @@ void SplitName(const std::string& name, std::string* family,
                         close == std::string::npos || close <= brace
                             ? std::string::npos
                             : close - brace - 1);
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out.push_back(' ');
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
 }
 
 // Shortest round-trippable decimal ("1e-05", not "1.0000000000000001e-05");
@@ -251,16 +236,16 @@ std::string MetricsRegistry::RenderJson() const {
   out << "{\n  \"counters\": {";
   bool first = true;
   for (const auto& [name, counter] : counters_) {
-    out << (first ? "\n" : ",\n") << "    \"" << JsonEscape(name)
-        << "\": " << counter->Value();
+    out << (first ? "\n" : ",\n") << "    " << JsonString(name) << ": "
+        << counter->Value();
     first = false;
   }
   out << (first ? "},\n" : "\n  },\n");
   out << "  \"gauges\": {";
   first = true;
   for (const auto& [name, gauge] : gauges_) {
-    out << (first ? "\n" : ",\n") << "    \"" << JsonEscape(name)
-        << "\": " << Num(gauge->Value());
+    out << (first ? "\n" : ",\n") << "    " << JsonString(name) << ": "
+        << Num(gauge->Value());
     first = false;
   }
   out << (first ? "},\n" : "\n  },\n");
@@ -269,8 +254,8 @@ std::string MetricsRegistry::RenderJson() const {
   for (const auto& [name, histogram] : histograms_) {
     const Histogram::Snapshot snap = histogram->TakeSnapshot();
     const std::vector<double>& bounds = histogram->bounds();
-    out << (first ? "\n" : ",\n") << "    \"" << JsonEscape(name)
-        << "\": { \"count\": " << snap.count << ", \"sum\": " << Num(snap.sum)
+    out << (first ? "\n" : ",\n") << "    " << JsonString(name)
+        << ": { \"count\": " << snap.count << ", \"sum\": " << Num(snap.sum)
         << ", \"p50\": " << Num(snap.p50) << ", \"p95\": " << Num(snap.p95)
         << ", \"p99\": " << Num(snap.p99) << ", \"buckets\": [";
     for (size_t i = 0; i < bounds.size(); ++i) {

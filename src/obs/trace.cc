@@ -2,47 +2,12 @@
 
 #include <sstream>
 
+#include "obs/request_context.h"
+#include "util/json_string.h"
 #include "util/mutex.h"
 
 namespace cirank {
 namespace obs {
-
-namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out.push_back(' ');
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-namespace {
-
-const char kHexDigits[] = "0123456789abcdef";
-
-// 16 lowercase hex digits — the shape FormatTraceId uses, duplicated here
-// to keep trace.cc free of extra deps.
-std::string Hex16(uint64_t value) {
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<size_t>(i)] = kHexDigits[value & 0xf];
-    value >>= 4;
-  }
-  return out;
-}
-
-}  // namespace
 
 TraceCollector::TraceCollector(size_t max_spans)
     : epoch_(std::chrono::steady_clock::now()), max_spans_(max_spans) {}
@@ -87,12 +52,13 @@ std::string TraceCollector::RenderChromeJson() const {
   out << "{\"traceEvents\":[";
   for (size_t i = 0; i < spans.size(); ++i) {
     const Span& s = spans[i];
-    out << (i == 0 ? "\n" : ",\n") << "{\"name\":\"" << JsonEscape(s.name)
-        << "\",\"cat\":\"" << JsonEscape(s.category)
-        << "\",\"ph\":\"X\",\"pid\":1,\"tid\":" << s.track
+    out << (i == 0 ? "\n" : ",\n") << "{\"name\":" << JsonString(s.name)
+        << ",\"cat\":" << JsonString(s.category)
+        << ",\"ph\":\"X\",\"pid\":1,\"tid\":" << s.track
         << ",\"ts\":" << s.start_us << ",\"dur\":" << s.duration_us;
     if (s.trace_id != 0) {
-      out << ",\"args\":{\"trace_id\":\"" << Hex16(s.trace_id) << "\"}";
+      out << ",\"args\":{\"trace_id\":\"" << FormatTraceId(s.trace_id)
+          << "\"}";
     }
     out << "}";
   }

@@ -330,45 +330,6 @@ Result<JsonValue> ParseJson(std::string_view text, const JsonLimits& limits) {
   return Parser(text, limits).ParseDocument();
 }
 
-void AppendJsonString(std::string* out, std::string_view s) {
-  out->push_back('"');
-  for (const char raw : s) {
-    const unsigned char c = static_cast<unsigned char>(raw);
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\b':
-        out->append("\\b");
-        break;
-      case '\f':
-        out->append("\\f");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\r':
-        out->append("\\r");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(raw);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
 void AppendJsonNumber(std::string* out, double value) {
   if (!std::isfinite(value)) {
     out->push_back('0');

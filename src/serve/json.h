@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "util/json_string.h"
 #include "util/status.h"
 
 namespace cirank {
@@ -63,9 +64,8 @@ struct JsonLimits {
                                           const JsonLimits& limits = {});
 
 // --- Rendering helpers ----------------------------------------------------
-// Appends `s` as a quoted JSON string, escaping quotes, backslashes, and
-// control characters (non-ASCII bytes pass through as UTF-8).
-void AppendJsonString(std::string* out, std::string_view s);
+// Appends `s` as a quoted JSON string (util/json_string.h).
+using ::cirank::AppendJsonString;
 
 // Appends a number. Integral values within the double-exact range render
 // without a fraction ("42"), everything else via %.17g so the value

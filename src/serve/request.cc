@@ -281,7 +281,8 @@ std::string RenderSearchResponseJson(const SearchRequest& request,
   out += ",\"popped\":";
   AppendJsonNumber(&out, static_cast<double>(stats.popped));
   out += ",\"generated\":";
-  AppendJsonNumber(&out, static_cast<double>(stats.generated));
+  AppendJsonNumber(&out,
+                   static_cast<double>(stats.stages.candidates_generated));
   out += ",\"answers_found\":";
   AppendJsonNumber(&out, static_cast<double>(stats.answers_found));
   out += ",\"stages\":{\"candidates_generated\":";

@@ -19,8 +19,7 @@ constexpr ResultCache::MetricNames kMergedCacheMetrics = {
     "cirank_shard_cache_hits_total",
     "cirank_shard_cache_misses_total",
     "cirank_shard_cache_invalidations_total",
-    "cirank_shard_cache_entries",
-    /*lru_shards=*/nullptr};
+    "cirank_shard_cache_entries"};
 
 }  // namespace
 
@@ -326,7 +325,6 @@ Result<std::vector<RankedAnswer>> ShardedEngine::ScatterGather(
     *stats = SearchStats{};
     for (const SearchStats& st : per_shard) {
       stats->popped += st.popped;
-      stats->generated += st.generated;
       stats->answers_found += st.answers_found;
       stats->budget_exhausted |= st.budget_exhausted;
       stats->truncated |= st.truncated;

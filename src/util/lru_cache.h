@@ -5,13 +5,12 @@
 // CIRANK_GUARDED_BY the shard's mutex so the `tsa` preset proves no
 // structure is touched outside it (DESIGN.md §12). Shard mutexes sit at
 // the cache-shard level of the lock hierarchy (engine → cache-shard →
-// pool); per-shard counters are relaxed atomics and deliberately
-// unguarded. Values are returned by copy, so callers typically store a
-// shared_ptr when entries are large.
+// pool). The cache counts nothing; its owner counts lookups. Values are
+// returned by copy, so callers typically store a shared_ptr when entries
+// are large.
 #ifndef CIRANK_UTIL_LRU_CACHE_H_
 #define CIRANK_UTIL_LRU_CACHE_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -52,14 +51,8 @@ class ShardedLruCache {
     Shard& shard = ShardFor(key);
     MutexLock lk(shard.mu);
     auto it = shard.index.find(key);
-    if (it == shard.index.end()) {
-      misses_.fetch_add(1, std::memory_order_relaxed);
-      shard.misses.fetch_add(1, std::memory_order_relaxed);
-      return std::nullopt;
-    }
+    if (it == shard.index.end()) return std::nullopt;
     shard.order.splice(shard.order.begin(), shard.order, it->second);
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    shard.hits.fetch_add(1, std::memory_order_relaxed);
     return it->second->second;
   }
 
@@ -80,8 +73,6 @@ class ShardedLruCache {
     if (shard.order.size() > shard.capacity) {
       shard.index.erase(shard.order.back().first);
       shard.order.pop_back();
-      evictions_.fetch_add(1, std::memory_order_relaxed);
-      shard.evictions.fetch_add(1, std::memory_order_relaxed);
     }
   }
 
@@ -95,7 +86,6 @@ class ShardedLruCache {
       shard->order.clear();
       shard->index.clear();
     }
-    invalidations_.fetch_add(1, std::memory_order_relaxed);
   }
 
   size_t size() const {
@@ -105,40 +95,6 @@ class ShardedLruCache {
       total += shard->order.size();
     }
     return total;
-  }
-
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
-  uint64_t evictions() const {
-    return evictions_.load(std::memory_order_relaxed);
-  }
-  uint64_t invalidations() const {
-    return invalidations_.load(std::memory_order_relaxed);
-  }
-
-  // Per-shard counter snapshot for the observability layer (exported as
-  // `{shard="i"}`-labeled metrics). Entry i describes shard i.
-  struct ShardStats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
-    size_t entries = 0;
-  };
-  std::vector<ShardStats> PerShardStats() const {
-    std::vector<ShardStats> out;
-    out.reserve(shards_.size());
-    for (const auto& shard : shards_) {
-      ShardStats s;
-      s.hits = shard->hits.load(std::memory_order_relaxed);
-      s.misses = shard->misses.load(std::memory_order_relaxed);
-      s.evictions = shard->evictions.load(std::memory_order_relaxed);
-      {
-        MutexLock lk(shard->mu);
-        s.entries = shard->order.size();
-      }
-      out.push_back(s);
-    }
-    return out;
   }
 
  private:
@@ -151,11 +107,6 @@ class ShardedLruCache {
                        Hash>
         index CIRANK_GUARDED_BY(mu);
     size_t capacity;  // immutable after construction
-    // Monotonic per-shard counters (the totals below aggregate them);
-    // relaxed atomics, intentionally outside the shard capability.
-    std::atomic<uint64_t> hits{0};
-    std::atomic<uint64_t> misses{0};
-    std::atomic<uint64_t> evictions{0};
   };
 
   Shard& ShardFor(const Key& key) {
@@ -172,10 +123,6 @@ class ShardedLruCache {
 
   std::vector<std::unique_ptr<Shard>> shards_;  // set once in the ctor
   Hash hash_;
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> evictions_{0};
-  std::atomic<uint64_t> invalidations_{0};
 };
 
 }  // namespace cirank

@@ -223,7 +223,7 @@ TEST_F(EngineTest, StatsRequestBypassesCacheRead) {
   auto with_stats = engine_->Search(q, overrides, &stats);
   ASSERT_TRUE(with_stats.ok());
   // A cached result cannot report search work; the call must have searched.
-  EXPECT_GT(stats.generated, 0);
+  EXPECT_GT(stats.stages.candidates_generated, 0);
   EXPECT_EQ(engine_->cache_stats().hits, 0u);
 }
 
@@ -356,8 +356,11 @@ TEST_F(EngineTest, TruncationCounterMatchesSearchStats) {
       &stats);
   ASSERT_TRUE(partial.ok());
   ASSERT_TRUE(stats.truncated);
-  EXPECT_EQ(local.GetCounter("cirank_engine_truncated_total").Value(), 1);
+  // The pipeline counts each truncation once; the engine adds no second
+  // counter of the same event.
   EXPECT_EQ(local.GetCounter("cirank_executor_truncated_total").Value(), 1);
+  EXPECT_EQ(local.RenderPrometheus().find("cirank_engine_truncated_total"),
+            std::string::npos);
   // Budget-limited queries are never cached, so no lookup was counted.
   EXPECT_EQ(local.GetCounter("cirank_engine_cache_misses_total").Value(), 0);
 }

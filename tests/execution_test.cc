@@ -55,7 +55,7 @@ TEST(ExecutionContextTest, CandidateBudgetLatchesStop) {
   EXPECT_EQ(ctx.stop_reason(), ExecutionContext::StopReason::kCandidateBudget);
   EXPECT_TRUE(ctx.stop_status().IsDeadlineExceeded());
   EXPECT_TRUE(ctx.ShouldStop());
-  EXPECT_EQ(ctx.candidates_charged(), 4);
+  EXPECT_EQ(ctx.stats().stages.candidates_generated, 4);
 }
 
 TEST(ExecutionContextTest, ExpiredDeadlineTripsShouldStop) {
@@ -107,6 +107,9 @@ TEST(ExecutorRegistryTest, CoreAndBaselineExecutorsAreRegistered) {
 
   // Every executor's answers follow the one answer order (TopKAnswers): at
   // most k, distinct trees, score descending with ties by canonical key.
+  // Every executor also fills its stats: its name and ranker, at least one
+  // found answer per returned answer, and at least one generated candidate
+  // per found answer.
   const Dataset ds = SmallImdbDataset();
   auto engine = CiRankEngine::Builder(ds.graph).Build();
   ASSERT_TRUE(engine.ok());
@@ -116,9 +119,17 @@ TEST(ExecutorRegistryTest, CoreAndBaselineExecutorsAreRegistered) {
     for (size_t i = 0; i < 3; ++i) {
       const Query q =
           Query::MustParse(ds.graph.text_of(ds.nodes_by_relation[1][i]));
-      auto r = engine->Search(q, SearchOverrides().WithK(kK).WithExecutor(name));
+      SearchStats stats;
+      auto r = engine->Search(
+          q, SearchOverrides().WithK(kK).WithExecutor(name), &stats);
       ASSERT_TRUE(r.ok()) << name << " query " << i;
       EXPECT_LE(r->size(), static_cast<size_t>(kK)) << name << " query " << i;
+      EXPECT_EQ(stats.executor, name) << "query " << i;
+      EXPECT_FALSE(stats.ranker.empty()) << name << " query " << i;
+      EXPECT_GE(stats.answers_found, static_cast<int64_t>(r->size()))
+          << name << " query " << i;
+      EXPECT_GE(stats.stages.candidates_generated, stats.answers_found)
+          << name << " query " << i;
       std::set<std::string> keys;
       for (size_t j = 0; j < r->size(); ++j) {
         const RankedAnswer& a = (*r)[j];
@@ -207,6 +218,31 @@ TEST(ExecutionPipelineTest, CandidateBudgetTruncates) {
     ExpectWellFormedTruncation(b, q, r, stats, name);
     // The stage counters report the candidates charged past the budget.
     EXPECT_GT(stats.stages.candidates_generated, kBudget) << name;
+  }
+}
+
+// The naive executor charges each pooled tree as it finds it, so a budget
+// below the pool size ends the enumeration early and the trees found so far
+// are still ranked — for spark and discover2 too, which are this executor.
+TEST(ExecutionPipelineTest, BudgetBelowThePoolStillRanksTheNaivePool) {
+  ASSERT_TRUE(RegisterBaselineExecutors().ok());
+  ScorerBundle b = SlowBundle();
+  Query q = Query::MustParse("kw0 kw1");
+  for (const char* name : {"naive", "spark", "discover2"}) {
+    SearchOptions opts;
+    opts.k = 5;
+    opts.executor = name;
+    opts.candidate_budget = 1;
+    ExecutorEnv env{b.scorer.get(), &q, opts};
+    SearchStats stats;
+    auto r = ExecuteSearch(env, &stats);
+    ASSERT_TRUE(r.ok()) << name << ": " << r.status().ToString();
+    ExpectWellFormedTruncation(b, q, r, stats, name);
+    EXPECT_FALSE(r->empty()) << name;
+    // The tree that exhausted the budget is kept, as bnb keeps the
+    // candidate that exhausts it: two trees charged, both ranked.
+    EXPECT_EQ(stats.stages.candidates_generated, 2) << name;
+    EXPECT_EQ(stats.answers_found, 2) << name;
   }
 }
 
@@ -312,7 +348,7 @@ TEST_F(ExecutionEngineTest, BatchCacheHitsCarryFromCacheMarker) {
       ++from_cache;
       // A memoized result has no fresh counters, just the marker.
       EXPECT_EQ(warm_stats[i].popped, 0);
-      EXPECT_EQ(warm_stats[i].generated, 0);
+      EXPECT_EQ(warm_stats[i].stages.candidates_generated, 0);
     }
   }
   EXPECT_GT(from_cache, 0);
@@ -364,7 +400,8 @@ TEST_F(ExecutionEngineTest, PoolScoringExecutorsAreNaiveWithTheirRanker) {
       EXPECT_EQ(pinned_stats.executor, name);
       EXPECT_EQ(pinned_stats.ranker, name);
       EXPECT_EQ(naive_stats.executor, "naive");
-      EXPECT_EQ(pinned_stats.generated, naive_stats.generated);
+      EXPECT_EQ(pinned_stats.stages.candidates_generated,
+                naive_stats.stages.candidates_generated);
       EXPECT_EQ(pinned_stats.answers_found, naive_stats.answers_found);
     }
     EXPECT_EQ(metrics

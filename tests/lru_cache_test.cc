@@ -2,6 +2,7 @@
 // memoization.
 #include "util/lru_cache.h"
 
+#include <atomic>
 #include <string>
 #include <vector>
 
@@ -18,8 +19,6 @@ TEST(ShardedLruCacheTest, ZeroCapacityDisablesEverything) {
   cache.Put("a", 1);
   EXPECT_FALSE(cache.Get("a").has_value());
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_EQ(cache.misses(), 0u);
 }
 
 TEST(ShardedLruCacheTest, PutGetRoundTrip) {
@@ -30,8 +29,6 @@ TEST(ShardedLruCacheTest, PutGetRoundTrip) {
   ASSERT_TRUE(a.has_value());
   EXPECT_EQ(*a, 1);
   EXPECT_FALSE(cache.Get("missing").has_value());
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.size(), 2u);
 }
 
@@ -58,13 +55,12 @@ TEST(ShardedLruCacheTest, EvictsLeastRecentlyUsed) {
   EXPECT_EQ(cache.size(), 3u);
 }
 
-TEST(ShardedLruCacheTest, ClearDropsEntriesAndCountsInvalidation) {
+TEST(ShardedLruCacheTest, ClearDropsEntries) {
   ShardedLruCache<std::string, int> cache(16, 4);
   for (int i = 0; i < 10; ++i) cache.Put("k" + std::to_string(i), i);
   EXPECT_GT(cache.size(), 0u);
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.invalidations(), 1u);
   EXPECT_FALSE(cache.Get("k3").has_value());
 }
 
@@ -79,16 +75,18 @@ TEST(ShardedLruCacheTest, ShardCountIsClampedToCapacity) {
 
 TEST(ShardedLruCacheTest, ConcurrentMixedTrafficIsSafe) {
   ShardedLruCache<int, int> cache(64, 8);
+  std::atomic<int> hits{0};
   {
     ThreadPool pool(4);
     for (int t = 0; t < 4; ++t) {
-      pool.Submit([&cache, t] {
+      pool.Submit([&cache, &hits, t] {
         for (int i = 0; i < 500; ++i) {
           const int key = (t * 131 + i) % 100;
           cache.Put(key, key * 2);
           auto v = cache.Get(key);
           if (v.has_value()) {
             EXPECT_EQ(*v, key * 2);
+            hits.fetch_add(1, std::memory_order_relaxed);
           }
           if (i % 100 == 99) cache.Clear();
         }
@@ -96,8 +94,8 @@ TEST(ShardedLruCacheTest, ConcurrentMixedTrafficIsSafe) {
     }
     pool.WaitIdle();
   }
-  EXPECT_GE(cache.invalidations(), 1u);
-  EXPECT_GT(cache.hits() + cache.misses(), 0u);
+  EXPECT_GT(hits.load(std::memory_order_relaxed), 0);
+  EXPECT_LE(cache.size(), 64u);
 }
 
 }  // namespace

@@ -101,7 +101,7 @@ TEST(NaiveSearchTest, StatsReportGeneratedAnswers) {
   SearchStats stats;
   auto result = NaiveSearch(*b.scorer, q, opts, &stats);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(stats.generated, stats.answers_found);
+  EXPECT_EQ(stats.stages.candidates_generated, stats.answers_found);
   EXPECT_LE(result->size(), 3u);
 }
 

@@ -17,8 +17,7 @@ namespace {
 
 constexpr ResultCache::MetricNames kNames = {
     "test_cache_hits_total", "test_cache_misses_total",
-    "test_cache_invalidations_total", "test_cache_entries",
-    /*lru_shards=*/"test_cache_shard"};
+    "test_cache_invalidations_total", "test_cache_entries"};
 
 QueryCacheOptions Capacity(size_t capacity) {
   QueryCacheOptions options;
@@ -96,7 +95,7 @@ TEST(ResultCacheTest, ServingPathHitReportsOnlyMarkerExecutorAndRanker) {
 
   SearchStats stats;
   stats.popped = 7;
-  stats.generated = 9;
+  stats.stages.candidates_generated = 9;
   stats.truncated = true;
   stats.stages.bound_calls = 3;
   EXPECT_TRUE(
@@ -105,7 +104,7 @@ TEST(ResultCacheTest, ServingPathHitReportsOnlyMarkerExecutorAndRanker) {
   EXPECT_EQ(stats.executor, "naive");
   EXPECT_EQ(stats.ranker, "rwmp_x_text");
   EXPECT_EQ(stats.popped, 0);
-  EXPECT_EQ(stats.generated, 0);
+  EXPECT_EQ(stats.stages.candidates_generated, 0);
   EXPECT_FALSE(stats.truncated);
   EXPECT_EQ(stats.stages.bound_calls, 0);
 }
@@ -203,10 +202,37 @@ TEST(ResultCacheTest, InvalidateDropsEntriesAndKeepsGaugesCurrent) {
   EXPECT_EQ(stats.invalidations, 1u);
   EXPECT_FALSE(LookupOrStore(cache, Query::MustParse("kw0"), SearchOptions(),
                              ResultCache::Path::kDirect));
+}
 
-  // Stats() exports the per-LRU-shard gauges under the configured prefix.
-  EXPECT_NE(metrics.RenderPrometheus().find("test_cache_shard_hits{shard="),
-            std::string::npos);
+// Two caches recording into one registry (the engine's and a shard facade
+// attached to it share metric families by name): each Stats() counts only
+// its own lookups, and the registry counters hold the sums.
+TEST(ResultCacheTest, TwoCachesOnOneRegistryCountTheirOwnLookups) {
+  obs::MetricsRegistry metrics;
+  ResultCache first(Capacity(16), &metrics, kNames);
+  ResultCache second(Capacity(16), &metrics, kNames);
+  const Query q = Query::MustParse("kw0 kw1");
+  EXPECT_FALSE(LookupOrStore(first, q, SearchOptions(),
+                             ResultCache::Path::kServing));
+  EXPECT_TRUE(LookupOrStore(first, q, SearchOptions(),
+                            ResultCache::Path::kServing));
+  EXPECT_TRUE(LookupOrStore(first, q, SearchOptions(),
+                            ResultCache::Path::kServing));
+  EXPECT_FALSE(LookupOrStore(second, q, SearchOptions(),
+                             ResultCache::Path::kServing));
+  second.Invalidate();
+
+  const QueryCacheStats a = first.Stats();
+  const QueryCacheStats b = second.Stats();
+  EXPECT_EQ(a.hits, 2u);
+  EXPECT_EQ(a.misses, 1u);
+  EXPECT_EQ(a.invalidations, 0u);
+  EXPECT_EQ(b.hits, 0u);
+  EXPECT_EQ(b.misses, 1u);
+  EXPECT_EQ(b.invalidations, 1u);
+  EXPECT_EQ(metrics.GetCounter("test_cache_hits_total").Value(), 2);
+  EXPECT_EQ(metrics.GetCounter("test_cache_misses_total").Value(), 2);
+  EXPECT_EQ(metrics.GetCounter("test_cache_invalidations_total").Value(), 1);
 }
 
 TEST(ResultCacheTest, HitOutlivesAConcurrentInvalidation) {

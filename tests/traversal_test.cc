@@ -46,13 +46,6 @@ TEST_F(TraversalTest, BfsRespectsCutoff) {
   EXPECT_EQ(dist[1], 1u);
 }
 
-TEST_F(TraversalTest, HopDistance) {
-  EXPECT_EQ(HopDistance(graph_, 0, 0, 5), 0u);
-  EXPECT_EQ(HopDistance(graph_, 0, 2, 5), 2u);
-  EXPECT_EQ(HopDistance(graph_, 0, 4, 5), kUnreachable);
-  EXPECT_EQ(HopDistance(graph_, 0, 2, 1), kUnreachable);  // cutoff
-}
-
 TEST_F(TraversalTest, MaxProductPicksBestPath) {
   // Factors: node 1 keeps 0.9, nodes 2,3 keep 0.1.
   std::vector<double> factor = {0.5, 0.9, 0.1, 0.1, 0.5};
